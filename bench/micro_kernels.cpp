@@ -2,8 +2,8 @@
  * @file micro_kernels.cpp
  * google-benchmark microbenchmarks of the numerical and structural
  * hot paths: WENO5/PLM reconstruction, the HLL solver, RK2 weighted
- * sums, ghost pack/unpack, Morton keys, tree neighbor walks and
- * buffer-cache rebuilds.
+ * sums, ghost pack/unpack (uniform and across AMR levels), Morton
+ * keys, tree neighbor walks and buffer-cache rebuilds.
  */
 #include <benchmark/benchmark.h>
 
@@ -109,10 +109,18 @@ BM_Rk2Stage(benchmark::State& state)
 }
 BENCHMARK(BM_Rk2Stage);
 
+/**
+ * One monolithic ghost exchange over a 32^3 mesh (block size, AMR
+ * levels). With levels > 1 the low corner is refined down to the
+ * finest level, so the exchange carries restrict-on-send and
+ * prolong-on-receive rows as well as same-level copies. Bytes are the
+ * wire payload: wire cells x conserved components x 8.
+ */
 void
 BM_GhostExchange(benchmark::State& state)
 {
     const int block = static_cast<int>(state.range(0));
+    const int levels = static_cast<int>(state.range(1));
     KernelProfiler profiler;
     MemoryTracker tracker;
     auto registry = makeBurgersRegistry(8);
@@ -120,8 +128,13 @@ BM_GhostExchange(benchmark::State& state)
     MeshConfig config;
     config.nx1 = config.nx2 = config.nx3 = 32;
     config.blockNx1 = config.blockNx2 = config.blockNx3 = block;
-    config.amrLevels = 1;
+    config.amrLevels = levels;
     Mesh mesh(config, registry, ctx);
+    for (int level = 0; level + 1 < levels; ++level) {
+        RefinementFlagMap flags;
+        flags[LogicalLocation{level, 0, 0, 0}] = RefinementFlag::Refine;
+        mesh.applyTreeUpdate(mesh.updateTree(flags), 0);
+    }
     RankWorld world(1);
     BoundaryBufferCache cache(mesh, false);
     GhostExchange exchange(mesh, world, cache);
@@ -129,10 +142,17 @@ BM_GhostExchange(benchmark::State& state)
     package.initialize(mesh, InitialCondition::Sine);
     for (auto _ : state)
         exchange.exchangeBounds();
-    state.SetItemsProcessed(state.iterations() *
-                            cache.totalWireCells());
+    const std::int64_t wire_cells = cache.totalWireCells();
+    state.SetItemsProcessed(state.iterations() * wire_cells);
+    state.SetBytesProcessed(state.iterations() * wire_cells *
+                            registry.ncompConserved() *
+                            static_cast<std::int64_t>(sizeof(double)));
 }
-BENCHMARK(BM_GhostExchange)->Arg(8)->Arg(16);
+BENCHMARK(BM_GhostExchange)
+    ->ArgNames({"block", "levels"})
+    ->Args({8, 1})
+    ->Args({16, 1})
+    ->Args({8, 3});
 
 void
 BM_BufferCacheRebuild(benchmark::State& state)

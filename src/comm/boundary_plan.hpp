@@ -9,7 +9,12 @@
  * BoundaryBufferCache into a buffer table so that
  *
  *  - all pack/unpack (plus restrict-on-pack / prolong-on-unpack) work
- *    for a phase is a single fused launch over table rows, and
+ *    for a phase runs over table rows as a serial begin step (row
+ *    table, payload sizing or message receipt), a fixed number of
+ *    row-partition steps that the rank's workers run concurrently
+ *    (GhostExchange::kFusedPartitions, the analogue of Parthenon's
+ *    partitioned MeshBlockPacks), and a serial end step (accounting,
+ *    sends), and
  *  - all traffic between one (src rank, dst rank) pair per phase is
  *    coalesced into ONE combined RankWorld mailbox message whose
  *    payload is the offset-directory concatenation of the per-face
@@ -38,7 +43,8 @@
  * guarded by mutex_ and annotated for clang's thread-safety analysis.
  * The message tables themselves are written only inside
  * ensureBuilt()/invalidate() — called at serial points on the owning
- * rank's driver thread — and are read lock-free by the fused launches.
+ * rank's driver thread — and are read lock-free by the fused phase
+ * steps.
  */
 #pragma once
 
@@ -117,7 +123,7 @@ class BoundaryPlan
 
     /**
      * Rebuild if stale. Must be called from the owning rank's driver
-     * thread at a serial point (no fused launch in flight) — the
+     * thread at a serial point (no fused phase step in flight) — the
      * driver does so while constructing each stage's task graph.
      */
     void ensureBuilt();

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "exec/par_for.hpp"
 #include "mesh/prolong_restrict.hpp"
@@ -24,6 +25,22 @@ int
 rangeCount(const Region3& r, int d)
 {
     return d == 0 ? r.i.count() : d == 1 ? r.j.count() : r.k.count();
+}
+
+/** Per-thread scratch of the ghost prolongation's coarse box. */
+struct ProlongScratch
+{
+    std::vector<double> value;
+    std::vector<unsigned char> ok;
+    /** Center and x/y/z slopes per inner coarse cell. */
+    std::vector<double> coef;
+};
+
+ProlongScratch&
+prolongScratch()
+{
+    thread_local ProlongScratch scratch;
+    return scratch;
 }
 
 } // namespace
@@ -61,9 +78,9 @@ GhostExchange::exchangeBounds()
         // serial points, so the lazy rebuild may happen right here.
         plan_.ensureBuilt();
         startReceiveBoundBufsFused();
-        sendBoundBufsFused();
+        sendFusedPhase(PlanPhase::Bounds);
         receiveBoundBufsFused();
-        setBoundsFused();
+        setFusedPhase(PlanPhase::Bounds);
         return;
     }
     startReceiveBoundBufs();
@@ -416,12 +433,18 @@ GhostExchange::unpackBoundsChannel(const BoundsChannel& ch,
         return;
     }
 
-    // Coarse slab -> fine ghosts: slope-limited prolongation. Slope
-    // neighbors come from the slab where available; where the missing
-    // neighbor lies on the *receiver's* side of the interface (the
-    // innermost ghost layer), it is restricted on the fly from the
-    // receiver's own fine interior — the role of Parthenon's
-    // receiver-side coarse buffer. Elsewhere the slope clamps to zero.
+    // Coarse slab -> fine ghosts: slope-limited prolongation around a
+    // per-channel coarse box, the role of Parthenon's receiver-side
+    // coarse buffer. The box spans the coarse cells under the recv
+    // region plus a one-cell halo in each active dimension. A box cell
+    // takes its value from the slab where the slab covers it; where
+    // it instead lies on the *receiver's* side of the interface (the
+    // inward neighbor of the innermost ghost layer), it is restricted
+    // on the fly from the receiver's own fine interior; elsewhere it
+    // is unavailable and a slope reaching for it clamps to zero.
+    // Values are filled once per component and slopes once per coarse
+    // cell; the fine loop then adds center + sum_d +-0.25 slope_d in
+    // d order, exactly the arithmetic of a per-fine-cell evaluation.
     const int lo[3] = {shape.is(), shape.js(), shape.ks()};
     const int nx[3] = {shape.nx1, ndim >= 2 ? shape.nx2 : 1,
                        ndim >= 3 ? shape.nx3 : 1};
@@ -433,15 +456,12 @@ GhostExchange::unpackBoundsChannel(const BoundsChannel& ch,
         static_cast<std::size_t>(sc[2]) * sc[1] * sc[0];
     require(count == slab_stride_n * ncomp,
             "slab payload size mismatch");
-    auto slab_at = [&](int n, int ck, int cj, int ci) {
-        return payload[(static_cast<std::size_t>(n) * sc[2] + ck) *
-                           sc[1] * sc[0] +
-                       static_cast<std::size_t>(cj) * sc[0] + ci];
-    };
 
-    // Coarse value at sender-local interior-relative index c_rel[3];
-    // returns false if unobtainable from slab or receiver restriction.
-    auto coarse_at = [&](int n, const int c_rel[3], double* out) {
+    // Coarse value at sender-local interior-relative index c_rel[3]
+    // for one component; false if unobtainable from the slab or by
+    // restriction of the receiver's interior.
+    auto coarse_at = [&](const double* slab, const Slice3<double>& u,
+                         const int c_rel[3], double* out) {
         int s_idx[3];
         bool in_slab = true;
         for (int d = 0; d < 3; ++d) {
@@ -450,11 +470,12 @@ GhostExchange::unpackBoundsChannel(const BoundsChannel& ch,
                 in_slab = false;
         }
         if (in_slab) {
-            *out = slab_at(n, s_idx[2], s_idx[1], s_idx[0]);
+            *out = slab[(static_cast<std::size_t>(s_idx[2]) * sc[1] +
+                         s_idx[1]) *
+                            sc[0] +
+                        s_idx[0]];
             return true;
         }
-        // Restrict from the receiver's own interior if the coarse cell
-        // maps entirely inside it.
         int f0[3] = {0, 0, 0};
         for (int d = 0; d < ndim; ++d) {
             f0[d] = ch.base[d] + 2 * c_rel[d];
@@ -465,44 +486,113 @@ GhostExchange::unpackBoundsChannel(const BoundsChannel& ch,
         for (int dk = 0; dk <= (ndim >= 3 ? 1 : 0); ++dk)
             for (int dj = 0; dj <= (ndim >= 2 ? 1 : 0); ++dj)
                 for (int di = 0; di <= 1; ++di)
-                    sum += cons(n, lo[2] * (ndim >= 3) + f0[2] + dk,
-                                lo[1] * (ndim >= 2) + f0[1] + dj,
-                                lo[0] + f0[0] + di);
+                    sum += u(lo[2] * (ndim >= 3) + f0[2] + dk,
+                             lo[1] * (ndim >= 2) + f0[1] + dj,
+                             lo[0] + f0[0] + di);
         *out = sum / (1 << ndim);
         return true;
     };
 
+    // Coarse range [c_lo, c_hi] under the recv region; fine index F
+    // lies in coarse cell (F - lo - base) >> 1, which is monotone in F,
+    // so checking the region's low corner covers every cell.
+    const int f_lo[3] = {ch.recv.i.lo, ch.recv.j.lo, ch.recv.k.lo};
+    const int f_hi[3] = {ch.recv.i.hi, ch.recv.j.hi, ch.recv.k.hi};
+    int c_lo[3] = {0, 0, 0}, c_hi[3] = {0, 0, 0}, halo[3] = {0, 0, 0};
+    for (int d = 0; d < ndim; ++d) {
+        const int t = f_lo[d] - lo[d] - ch.base[d];
+        require(t >= 0, "negative alignment offset");
+        c_lo[d] = t >> 1;
+        c_hi[d] = (f_hi[d] - lo[d] - ch.base[d]) >> 1;
+        halo[d] = 1;
+    }
+    const int cn[3] = {c_hi[0] - c_lo[0] + 1, c_hi[1] - c_lo[1] + 1,
+                       c_hi[2] - c_lo[2] + 1};
+    const int bn[3] = {cn[0] + 2 * halo[0], cn[1] + 2 * halo[1],
+                       cn[2] + 2 * halo[2]};
+    const std::size_t stride[3] = {
+        1, static_cast<std::size_t>(bn[0]),
+        static_cast<std::size_t>(bn[0]) * bn[1]};
+    ProlongScratch& scratch = prolongScratch();
+    scratch.value.resize(stride[2] * bn[2]);
+    scratch.ok.resize(stride[2] * bn[2]);
+    scratch.coef.resize(4 * static_cast<std::size_t>(cn[0]) * cn[1] *
+                        cn[2]);
+    double* value = scratch.value.data();
+    unsigned char* ok = scratch.ok.data();
+    double* coef = scratch.coef.data();
+
     for (int n = 0; n < ncomp; ++n) {
-        for (int k = ch.recv.k.lo; k <= ch.recv.k.hi; ++k)
-            for (int j = ch.recv.j.lo; j <= ch.recv.j.hi; ++j)
-                for (int i = ch.recv.i.lo; i <= ch.recv.i.hi; ++i) {
-                    const int fidx[3] = {i, j, k};
-                    int c_rel[3] = {0, 0, 0}; // interior-relative coarse
-                    int p[3] = {0, 0, 0};     // fine parity in cell
-                    for (int d = 0; d < ndim; ++d) {
-                        const int t = fidx[d] - lo[d] - ch.base[d];
-                        require(t >= 0, "negative alignment offset");
-                        c_rel[d] = t >> 1;
-                        p[d] = t & 1;
+        const double* slab = payload + n * slab_stride_n;
+        Slice3<double> u = cons.slice(n);
+
+        // Box values. Cells off the inner range in two or more
+        // dimensions are never read: slopes step along one axis.
+        std::size_t b = 0;
+        for (int bk = 0; bk < bn[2]; ++bk)
+            for (int bj = 0; bj < bn[1]; ++bj)
+                for (int bi = 0; bi < bn[0]; ++bi, ++b) {
+                    const int c_rel[3] = {c_lo[0] - halo[0] + bi,
+                                          c_lo[1] - halo[1] + bj,
+                                          c_lo[2] - halo[2] + bk};
+                    int outside = 0;
+                    for (int d = 0; d < 3; ++d)
+                        outside +=
+                            c_rel[d] < c_lo[d] || c_rel[d] > c_hi[d];
+                    if (outside > 1) {
+                        ok[b] = 0;
+                        continue;
                     }
-                    double center;
-                    require(coarse_at(n, c_rel, &center),
-                            "ghost prolongation center missing");
-                    double value = center;
-                    for (int d = 0; d < ndim; ++d) {
-                        int cm[3] = {c_rel[0], c_rel[1], c_rel[2]};
-                        int cp[3] = {c_rel[0], c_rel[1], c_rel[2]};
-                        cm[d] -= 1;
-                        cp[d] += 1;
-                        double vm, vp;
-                        double slope = 0.0;
-                        if (coarse_at(n, cm, &vm) &&
-                            coarse_at(n, cp, &vp))
-                            slope = minmod(vp - center, center - vm);
-                        value += (p[d] == 1 ? 0.25 : -0.25) * slope;
-                    }
-                    cons(n, k, j, i) = value;
+                    ok[b] = coarse_at(slab, u, c_rel, &value[b]);
+                    if (outside == 0)
+                        require(ok[b], "ghost prolongation center missing");
                 }
+
+        // Center and limited slopes per inner coarse cell.
+        double* cf = coef;
+        for (int ck = 0; ck < cn[2]; ++ck)
+            for (int cj = 0; cj < cn[1]; ++cj)
+                for (int ci = 0; ci < cn[0]; ++ci, cf += 4) {
+                    const std::size_t c = (ck + halo[2]) * stride[2] +
+                                          (cj + halo[1]) * stride[1] +
+                                          (ci + halo[0]);
+                    const double center = value[c];
+                    cf[0] = center;
+                    for (int d = 0; d < ndim; ++d) {
+                        double slope = 0.0;
+                        if (ok[c - stride[d]] && ok[c + stride[d]])
+                            slope = minmod(value[c + stride[d]] - center,
+                                           center - value[c - stride[d]]);
+                        cf[1 + d] = slope;
+                    }
+                }
+
+        // Fine ghosts: parity picks the sign of each slope term.
+        for (int k = f_lo[2]; k <= f_hi[2]; ++k) {
+            const int tk = ndim >= 3 ? k - lo[2] - ch.base[2] : 0;
+            const double wk = (tk & 1) ? 0.25 : -0.25;
+            for (int j = f_lo[1]; j <= f_hi[1]; ++j) {
+                const int tj = ndim >= 2 ? j - lo[1] - ch.base[1] : 0;
+                const double wj = (tj & 1) ? 0.25 : -0.25;
+                const double* row =
+                    coef + 4 * ((static_cast<std::size_t>(
+                                     (tk >> 1) - c_lo[2]) *
+                                     cn[1] +
+                                 ((tj >> 1) - c_lo[1])) *
+                                cn[0]);
+                for (int i = f_lo[0]; i <= f_hi[0]; ++i) {
+                    const int ti = i - lo[0] - ch.base[0];
+                    const double* q = row + 4 * ((ti >> 1) - c_lo[0]);
+                    double v = q[0];
+                    v += ((ti & 1) ? 0.25 : -0.25) * q[1];
+                    if (ndim >= 2)
+                        v += wj * q[2];
+                    if (ndim >= 3)
+                        v += wk * q[3];
+                    u(k, j, i) = v;
+                }
+            }
+        }
     }
 }
 
@@ -514,9 +604,9 @@ GhostExchange::exchangeFluxCorrections()
     if (fused()) {
         // Serial point for monolithic callers; see exchangeBounds().
         plan_.ensureBuilt();
-        sendFluxCorrectionsFused();
+        sendFusedPhase(PlanPhase::Flux);
         receiveFluxCorrectionsFused();
-        setFluxCorrectionsFused();
+        setFusedPhase(PlanPhase::Flux);
         return;
     }
     for (MeshBlock* block : mesh_->ownedBlocks())
@@ -784,71 +874,82 @@ GhostExchange::startReceiveBoundBufsFused()
 }
 
 void
-GhostExchange::sendFusedPhase(PlanPhase phase)
+GhostExchange::beginFusedSend(PlanPhase phase)
 {
     const ExecContext& ctx = mesh_->ctx();
     const bool bounds = phase == PlanPhase::Bounds;
     const auto& msgs = plan_.messages(phase);
-    const std::vector<int> ids = fusedSendIds(phase);
-    if (ids.empty())
-        return;
+    FusedRows& fr = fused_send_[static_cast<int>(phase)];
+    fr = FusedRows{};
+    fr.ids = fusedSendIds(phase);
 
     // One row per plan entry; each row writes its disjoint payload
-    // slice, so the single launch below is race-free by construction.
-    struct Row
-    {
-        int channel;
-        double* out;
-    };
+    // slice, so the partitions are race-free by construction.
     std::size_t nentries = 0;
-    for (int id : ids)
+    for (int id : fr.ids)
         nentries += msgs[static_cast<std::size_t>(id)].entries.size();
-    std::vector<std::vector<double>> payloads(ids.size());
-    std::vector<Row> rows;
-    std::vector<int> ranks;
-    std::vector<double> items;
-    ranks.reserve(nentries);
-    items.reserve(nentries);
+    fr.payloads.resize(fr.ids.size());
+    fr.ranks.reserve(nentries);
+    fr.items.reserve(nentries);
     if (ctx.executing())
-        rows.reserve(nentries);
-    double innermost = 0;
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-        const PlanMessage& m = msgs[static_cast<std::size_t>(ids[s])];
+        fr.rows.reserve(nentries);
+    for (std::size_t s = 0; s < fr.ids.size(); ++s) {
+        const PlanMessage& m = msgs[static_cast<std::size_t>(fr.ids[s])];
         if (ctx.executing())
-            payloads[s].resize(m.doubles);
+            fr.payloads[s].resize(m.doubles);
         for (const PlanEntry& e : m.entries) {
-            ranks.push_back(m.src);
-            items.push_back(static_cast<double>(e.count));
+            fr.ranks.push_back(m.src);
+            fr.items.push_back(static_cast<double>(e.count));
             if (bounds) {
                 const BoundsChannel& ch = cache_->bounds()[e.channel];
-                innermost += rangeCount(
+                fr.innermost += rangeCount(
                     ch.levelDiff == 1 ? ch.recv : ch.send, 0);
             } else {
-                innermost += cache_->flux()[e.channel].recvFaces.i.count();
+                fr.innermost +=
+                    cache_->flux()[e.channel].recvFaces.i.count();
             }
             if (ctx.executing())
-                rows.push_back({e.channel, payloads[s].data() + e.offset});
+                fr.rows.push_back({e.channel,
+                                   fr.payloads[s].data() + e.offset,
+                                   e.count});
         }
     }
+    fr.split();
+}
 
-    // ONE fused launch packs (and restricts) every outbound channel of
-    // the phase — the per-face path pays one launch per block.
-    parForExecRows(
-        ctx, 0, static_cast<int>(rows.size()) - 1, 0, 0,
-        [&](int, int row, int) {
-            const Row& r = rows[static_cast<std::size_t>(row)];
-            if (bounds)
-                packBoundsChannel(cache_->bounds()[r.channel], r.out);
-            else
-                packFluxChannel(cache_->flux()[r.channel], r.out);
-        });
+void
+GhostExchange::packFusedPartition(PlanPhase phase, int part)
+{
+    const bool bounds = phase == PlanPhase::Bounds;
+    const FusedRows& fr = fused_send_[static_cast<int>(phase)];
+    for (int r = fr.partStart[part]; r < fr.partStart[part + 1]; ++r) {
+        const FusedRows::Row& row = fr.rows[static_cast<std::size_t>(r)];
+        if (bounds)
+            packBoundsChannel(cache_->bounds()[row.channel], row.payload);
+        else
+            packFluxChannel(cache_->flux()[row.channel], row.payload);
+    }
+}
+
+void
+GhostExchange::endFusedSend(PlanPhase phase)
+{
+    const ExecContext& ctx = mesh_->ctx();
+    const auto& msgs = plan_.messages(phase);
+    FusedRows& fr = fused_send_[static_cast<int>(phase)];
+    if (fr.ids.empty())
+        return;
+    // The partitions together are ONE fused pack (and restrict) kernel
+    // over every outbound channel of the phase; the per-face path pays
+    // one launch per block.
     recordPackKernelItems(
         ctx, "SendBoundBufs", "SendBoundBufs", {1.0, 2.0 * sizeof(double)},
-        ranks.data(), items.data(), static_cast<int>(ranks.size()),
-        innermost / static_cast<double>(ranks.size()));
+        fr.ranks.data(), fr.items.data(),
+        static_cast<int>(fr.ranks.size()),
+        fr.innermost / static_cast<double>(fr.ranks.size()));
 
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-        const PlanMessage& m = msgs[static_cast<std::size_t>(ids[s])];
+    for (std::size_t s = 0; s < fr.ids.size(); ++s) {
+        const PlanMessage& m = msgs[static_cast<std::size_t>(fr.ids[s])];
         const bool remote = m.src != m.dst;
         recordSerialAt(ctx, "SendBoundBufs", m.src,
                        remote ? "msg_remote" : "msg_local", 1.0);
@@ -859,24 +960,24 @@ GhostExchange::sendFusedPhase(PlanPhase phase)
         // once per rank pair, not once per block.
         recordSerialAt(ctx, "SendBoundBufs", m.src, "bound_buf_metadata",
                        static_cast<double>(m.entries.size()));
-        if (bounds)
+        if (phase == PlanPhase::Bounds)
             last_wire_cells_.fetch_add(m.wireUnits);
         countSend(m.bytes);
-        world_->isend(m.id, m.src, m.dst, std::move(payloads[s]),
+        world_->isend(m.id, m.src, m.dst, std::move(fr.payloads[s]),
                       m.bytes);
     }
+    fr = FusedRows{};
 }
 
 void
-GhostExchange::sendBoundBufsFused()
+GhostExchange::sendFusedPhase(PlanPhase phase)
 {
-    sendFusedPhase(PlanPhase::Bounds);
-}
-
-void
-GhostExchange::sendFluxCorrectionsFused()
-{
-    sendFusedPhase(PlanPhase::Flux);
+    beginFusedSend(phase);
+    parForExecRows(mesh_->ctx(), 0, kFusedPartitions - 1, 0, 0,
+                   [&](int, int part, int) {
+                       packFusedPartition(phase, part);
+                   });
+    endFusedSend(phase);
 }
 
 bool
@@ -943,31 +1044,20 @@ GhostExchange::receiveFluxCorrectionsFused()
 }
 
 void
-GhostExchange::setFusedPhase(PlanPhase phase)
+GhostExchange::beginFusedSet(PlanPhase phase)
 {
     const ExecContext& ctx = mesh_->ctx();
     const bool bounds = phase == PlanPhase::Bounds;
     const int ncomp = mesh_->registry().ncompConserved();
     const auto& msgs = plan_.messages(phase);
-    const std::vector<int> ids = fusedRecvIds(phase);
-    if (ids.empty())
-        return;
+    FusedRows& fr = fused_set_[static_cast<int>(phase)];
+    fr = FusedRows{};
+    fr.ids = fusedRecvIds(phase);
 
-    struct Row
-    {
-        int channel;
-        const double* payload;
-        std::size_t count;
-    };
     // Reserve up front: rows hold pointers into received payloads, and
     // a Message move keeps its payload's heap buffer stable.
-    std::vector<Message> received;
-    received.reserve(ids.size());
-    std::vector<Row> rows;
-    std::vector<int> ranks;
-    std::vector<double> items;
-    double innermost = 0;
-    for (int id : ids) {
+    fr.received.reserve(fr.ids.size());
+    for (int id : fr.ids) {
         const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
         auto msg = world_->receive(m.id);
         require(msg.has_value(), "missing coalesced ",
@@ -981,72 +1071,119 @@ GhostExchange::setFusedPhase(PlanPhase phase)
                 "coalesced ", planPhaseName(phase),
                 " payload size mismatch: ", msg->payload.size(),
                 " doubles, directory says ", m.doubles);
-        received.push_back(std::move(*msg));
-        const Message& stored = received.back();
+        fr.received.push_back(std::move(*msg));
+        Message& stored = fr.received.back();
         for (const PlanEntry& e : m.entries) {
-            ranks.push_back(m.dst);
+            fr.ranks.push_back(m.dst);
             if (bounds) {
                 const BoundsChannel& ch = cache_->bounds()[e.channel];
-                items.push_back(static_cast<double>(ch.recv.cells()) *
-                                ncomp);
-                innermost += ch.recv.i.count();
+                fr.items.push_back(static_cast<double>(ch.recv.cells()) *
+                                   ncomp);
+                fr.innermost += ch.recv.i.count();
             } else {
                 const FluxChannel& ch = cache_->flux()[e.channel];
-                items.push_back(static_cast<double>(ch.wireFaces()) *
-                                ncomp);
-                innermost += ch.recvFaces.i.count();
+                fr.items.push_back(static_cast<double>(ch.wireFaces()) *
+                                   ncomp);
+                fr.innermost += ch.recvFaces.i.count();
             }
             if (ctx.executing())
-                rows.push_back(
-                    {e.channel, stored.payload.data() + e.offset,
-                     e.count});
+                fr.rows.push_back({e.channel,
+                                   stored.payload.data() + e.offset,
+                                   e.count});
         }
     }
+    fr.split();
+}
 
-    // ONE fused launch unpacks (and prolongates) every inbound entry.
+void
+GhostExchange::unpackFusedPartition(PlanPhase phase, int part)
+{
     // Each entry writes only its receiver's ghost region (or its own
     // flux faces), and prolongation's interior fallback reads cells no
-    // unpack writes, so rows are independent.
-    parForExecRows(
-        ctx, 0, static_cast<int>(rows.size()) - 1, 0, 0,
-        [&](int, int row, int) {
-            const Row& r = rows[static_cast<std::size_t>(row)];
-            if (bounds)
-                unpackBoundsChannel(cache_->bounds()[r.channel],
-                                    r.payload, r.count);
-            else
-                unpackFluxChannel(cache_->flux()[r.channel], r.payload,
-                                  r.count);
-        });
+    // unpack writes, so rows (and therefore partitions) are
+    // independent.
+    const bool bounds = phase == PlanPhase::Bounds;
+    const FusedRows& fr = fused_set_[static_cast<int>(phase)];
+    for (int r = fr.partStart[part]; r < fr.partStart[part + 1]; ++r) {
+        const FusedRows::Row& row = fr.rows[static_cast<std::size_t>(r)];
+        if (bounds)
+            unpackBoundsChannel(cache_->bounds()[row.channel],
+                                row.payload, row.count);
+        else
+            unpackFluxChannel(cache_->flux()[row.channel], row.payload,
+                              row.count);
+    }
+}
+
+void
+GhostExchange::endFusedSet(PlanPhase phase)
+{
+    const ExecContext& ctx = mesh_->ctx();
+    const bool bounds = phase == PlanPhase::Bounds;
+    const auto& msgs = plan_.messages(phase);
+    FusedRows& fr = fused_set_[static_cast<int>(phase)];
+    if (fr.ids.empty())
+        return;
+    // One fused unpack (and prolongate) kernel over every inbound
+    // entry, however many partitions ran it.
     const KernelCosts costs =
         bounds ? KernelCosts{1.0, 2.0 * sizeof(double)}
                : KernelCosts{0.0, 2.0 * sizeof(double)};
     recordPackKernelItems(ctx, "SetBounds", "SetBounds", costs,
-                          ranks.data(), items.data(),
-                          static_cast<int>(ranks.size()),
-                          innermost /
-                              static_cast<double>(ranks.size()));
+                          fr.ranks.data(), fr.items.data(),
+                          static_cast<int>(fr.ranks.size()),
+                          fr.innermost /
+                              static_cast<double>(fr.ranks.size()));
     if (bounds) {
-        for (int id : ids) {
+        for (int id : fr.ids) {
             const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
             recordSerialAt(ctx, "SetBounds", m.dst,
                            "bound_buf_metadata",
                            static_cast<double>(m.entries.size()));
         }
-        pending_receives_.fetch_sub(ids.size());
+        pending_receives_.fetch_sub(fr.ids.size());
     }
+    fr = FusedRows{};
 }
 
 void
-GhostExchange::setBoundsFused()
+GhostExchange::setFusedPhase(PlanPhase phase)
 {
-    setFusedPhase(PlanPhase::Bounds);
+    beginFusedSet(phase);
+    parForExecRows(mesh_->ctx(), 0, kFusedPartitions - 1, 0, 0,
+                   [&](int, int part, int) {
+                       unpackFusedPartition(phase, part);
+                   });
+    endFusedSet(phase);
 }
 
 void
-GhostExchange::setFluxCorrectionsFused()
+GhostExchange::FusedRows::split()
 {
-    setFusedPhase(PlanPhase::Flux);
+    // Contiguous row ranges of near-equal item cost: row r joins the
+    // partition its cost midpoint falls in. The split depends only on
+    // the plan (never on the thread count), so the task graph, and
+    // every traced event count, is the same at any concurrency.
+    const int n = static_cast<int>(rows.size());
+    partStart.assign(kFusedPartitions + 1, n);
+    partStart[0] = 0;
+    double total = 0;
+    for (int r = 0; r < n; ++r)
+        total += items[static_cast<std::size_t>(r)];
+    if (total <= 0)
+        return;
+    double prefix = 0;
+    int part = 0;
+    for (int r = 0; r < n; ++r) {
+        const double cost = items[static_cast<std::size_t>(r)];
+        const int p = std::min(
+            kFusedPartitions - 1,
+            static_cast<int>(kFusedPartitions * (prefix + 0.5 * cost) /
+                             total));
+        while (part < p)
+            partStart[++part] = r;
+        prefix += cost;
+    }
 }
 
 } // namespace vibe

@@ -36,22 +36,37 @@
  * leave the next one waiting on phantom messages.
  *
  * A third granularity sits on top of both (<exec> fused_boundaries,
- * default on): the BoundaryPlan path. All pack (or unpack) work for a
- * phase runs as ONE fused launch over the plan's buffer table, and all
- * traffic per (src rank, dst rank) pair per phase travels as ONE
- * coalesced mailbox message. The per-channel pack/unpack arithmetic is
- * shared verbatim with the per-face path (packBoundsChannel and
- * friends), every channel writes a disjoint payload slice or receiver
- * region, and prolongation's interior fallback reads cells no unpack
- * writes — so the fused path is bitwise identical to the per-face path
- * at any thread or rank count. The plan must be current
- * (BoundaryPlan::ensureBuilt() at a serial point — the driver's graph
- * builders do this) before any fused phase function runs.
+ * default on): the BoundaryPlan path. All traffic per (src rank, dst
+ * rank) pair per phase travels as ONE coalesced mailbox message, and
+ * each send or set phase runs in three steps over the plan's buffer
+ * table:
+ *
+ * - a serial begin step builds the row table (one row per plan entry)
+ *   and sizes the outbound payloads or receives the coalesced inbound
+ *   messages;
+ * - kFusedPartitions row partitions, contiguous row ranges of
+ *   near-equal cost, run the pack (restrict) or unpack (prolongate)
+ *   arithmetic; the driver schedules each partition as its own task,
+ *   so every worker of the rank shares the phase;
+ * - a serial end step records the phase as one fused kernel plus its
+ *   serial bookkeeping and isends the coalesced messages (send), or
+ *   leaves the physical-boundary fill to the caller (set).
+ *
+ * The per-channel pack/unpack arithmetic is shared verbatim with the
+ * per-face path (packBoundsChannel and friends), every row writes a
+ * disjoint payload slice or receiver region, and prolongation's
+ * interior fallback reads cells no unpack writes, so the fused path is
+ * bitwise identical to the per-face path at any thread or rank count.
+ * The partition count is a plan constant, never the thread count, so
+ * the task graph is the same at every concurrency. The plan must be
+ * current (BoundaryPlan::ensureBuilt() at a serial point; the driver's
+ * graph builders do this) before any fused phase function runs.
  */
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "comm/boundary_buffers.hpp"
 #include "comm/boundary_plan.hpp"
@@ -129,8 +144,6 @@ class GhostExchange
 
     /** Fused counterpart of startReceiveBoundBufs(). */
     void startReceiveBoundBufsFused();
-    /** Pack all outbound bounds entries (one launch), send each pair. */
-    void sendBoundBufsFused();
     /**
      * Probe one coalesced message (task-graph poll node); records the
      * polling cost on success.
@@ -138,15 +151,49 @@ class GhostExchange
     bool pollFusedMessage(const PlanMessage& msg);
     /** Blocking poll for every inbound bounds message (monolithic). */
     void receiveBoundBufsFused();
-    /** Receive + one fused unpack launch over all inbound entries. */
-    void setBoundsFused();
-
-    /** Pack all outbound flux entries (one launch), send each pair. */
-    void sendFluxCorrectionsFused();
     /** Blocking poll for every inbound flux message (monolithic). */
     void receiveFluxCorrectionsFused();
-    /** Receive + one fused unpack launch over the flux entries. */
-    void setFluxCorrectionsFused();
+
+    /**
+     * Row partitions per fused send or set phase. A plan constant, not
+     * a knob: it must not depend on the thread count, so task graphs
+     * and traced event counts stay identical at every concurrency.
+     * Partitions may be empty.
+     */
+    static constexpr int kFusedPartitions = 8;
+
+    /**
+     * Begin a fused send of `phase`: build the row table over every
+     * outbound entry, size the coalesced payloads, split the rows
+     * into kFusedPartitions partitions.
+     */
+    void beginFusedSend(PlanPhase phase);
+    /** Pack (and restrict) the rows of partition `part`. */
+    void packFusedPartition(PlanPhase phase, int part);
+    /**
+     * Finish a fused send: record the partitions as one pack kernel
+     * plus per-pair serial bookkeeping, and isend each coalesced
+     * message.
+     */
+    void endFusedSend(PlanPhase phase);
+    /**
+     * Begin a fused set of `phase`: receive every inbound coalesced
+     * message, build the row table, split it into partitions.
+     */
+    void beginFusedSet(PlanPhase phase);
+    /** Unpack (and prolongate) the rows of partition `part`. */
+    void unpackFusedPartition(PlanPhase phase, int part);
+    /** Finish a fused set: one unpack kernel record, bookkeeping. */
+    void endFusedSet(PlanPhase phase);
+
+    /**
+     * Unpack one bounds channel's payload into its receiver's ghosts,
+     * prolongating coarse slabs (the per-channel arithmetic both
+     * boundary paths share). Public for the prolongation oracle test.
+     */
+    void unpackBoundsChannel(const BoundsChannel& ch,
+                             const double* payload,
+                             std::size_t count) const;
 
     /** Ghost cells moved in the most recent exchange cycle. */
     std::int64_t lastWireCells() const { return last_wire_cells_.load(); }
@@ -179,19 +226,51 @@ class GhostExchange
     // Shared per-channel payload arithmetic: the per-face and fused
     // paths both call these, so their payloads agree bit for bit.
     void packBoundsChannel(const BoundsChannel& ch, double* out) const;
-    void unpackBoundsChannel(const BoundsChannel& ch,
-                             const double* payload,
-                             std::size_t count) const;
     void packFluxChannel(const FluxChannel& ch, double* out) const;
     void unpackFluxChannel(const FluxChannel& ch, const double* payload,
                            std::size_t count) const;
 
-    /** Shared body of the two fused send phases. */
+    /**
+     * Monolithic fused send / set: begin, every partition spread over
+     * the space with parForExecRows, end.
+     */
     void sendFusedPhase(PlanPhase phase);
+    void setFusedPhase(PlanPhase phase);
     /** Shared body of the two fused receive-poll phases. */
     void receiveFusedPhase(PlanPhase phase);
-    /** Shared body of the two fused set phases. */
-    void setFusedPhase(PlanPhase phase);
+
+    /**
+     * One fused phase's row table, live from its begin step to its end
+     * step. Partition tasks only read it; each row writes a disjoint
+     * payload slice (send) or receiver region (set).
+     */
+    struct FusedRows
+    {
+        struct Row
+        {
+            int channel;
+            /** The row's payload slice: written (send) or read (set). */
+            double* payload;
+            std::size_t count;
+        };
+        /** Plan message ids this replica sends or receives. */
+        std::vector<int> ids;
+        /** One row per entry; numeric mode only. */
+        std::vector<Row> rows;
+        /** Rows of partition p: [partStart[p], partStart[p + 1]). */
+        std::vector<int> partStart;
+        /** Per-entry rank and item count, for the kernel record. */
+        std::vector<int> ranks;
+        std::vector<double> items;
+        double innermost = 0;
+        /** Outbound payloads (send). */
+        std::vector<std::vector<double>> payloads;
+        /** Inbound messages the rows point into (set). */
+        std::vector<Message> received;
+
+        /** Split rows into kFusedPartitions ranges by item cost. */
+        void split();
+    };
 
     /** Account one boundary send against the per-cycle counters. */
     void countSend(double bytes);
@@ -207,6 +286,8 @@ class GhostExchange
     RankWorld* world_;
     BoundaryBufferCache* cache_;
     BoundaryPlan plan_;
+    FusedRows fused_send_[kNumPlanPhases];
+    FusedRows fused_set_[kNumPlanPhases];
     std::atomic<std::int64_t> last_wire_cells_{0};
     std::atomic<std::uint64_t> pending_receives_{0};
     std::atomic<std::uint64_t> last_messages_{0};

@@ -63,4 +63,24 @@ BlockCostModel::applyMeasuredCosts(Mesh& mesh, RankWorld& world)
     }
 }
 
+namespace detail {
+
+int
+taskNameGid(const std::string& name)
+{
+    const std::size_t pos = name.rfind(':');
+    if (pos == std::string::npos || pos + 1 >= name.size())
+        return -1;
+    int gid = 0;
+    for (std::size_t i = pos + 1; i < name.size(); ++i) {
+        const char c = name[i];
+        if (c < '0' || c > '9')
+            return -1;
+        gid = gid * 10 + (c - '0');
+    }
+    return gid;
+}
+
+} // namespace detail
+
 } // namespace vibe

@@ -93,4 +93,17 @@ class BlockCostModel
     std::map<int, double> samples_;
 };
 
+namespace detail {
+
+/**
+ * The block gid a task's wall clock belongs to: the all-digit
+ * ":<gid>" suffix of per-block task names ("CalculateFluxes:17"), or
+ * -1. Fused-phase ("...:plan:bounds:part3") and rank-pair poll
+ * (":r0>r1") names end in non-numeric suffixes, so they stay out of
+ * the measured-cost harvest.
+ */
+int taskNameGid(const std::string& name);
+
+} // namespace detail
+
 } // namespace vibe

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "driver/fault_injector.hpp"
@@ -369,31 +370,6 @@ EvolutionDriver::doCycle()
     }
 }
 
-namespace {
-
-/**
- * Parse the ":<gid>" suffix per-block task names carry, or -1. Fused
- * and pairwise tasks use non-numeric suffixes (":plan:bounds",
- * ":r0>r1"), so requiring all digits after the last ':' is exact.
- */
-int
-taskNameGid(const std::string& name)
-{
-    const std::size_t pos = name.rfind(':');
-    if (pos == std::string::npos || pos + 1 >= name.size())
-        return -1;
-    int gid = 0;
-    for (std::size_t i = pos + 1; i < name.size(); ++i) {
-        const char c = name[i];
-        if (c < '0' || c > '9')
-            return -1;
-        gid = gid * 10 + (c - '0');
-    }
-    return gid;
-}
-
-} // namespace
-
 void
 EvolutionDriver::runGraph(TaskList& tl, const TaskExecOptions& options)
 {
@@ -406,7 +382,7 @@ EvolutionDriver::runGraph(TaskList& tl, const TaskExecOptions& options)
     if (config_.lbCost == LbCostMode::Measured)
         tl.forEachTask([this](const std::string& name, TaskCategory,
                               double seconds) {
-            const int gid = taskNameGid(name);
+            const int gid = detail::taskNameGid(name);
             if (gid >= 0)
                 cost_model_.addSample(gid, seconds);
         });
@@ -696,6 +672,51 @@ EvolutionDriver::buildFluxCorrGraph()
     return tl;
 }
 
+TaskId
+EvolutionDriver::addFusedRowTasks(TaskList& tl, const std::string& name,
+                                  PlanPhase phase, bool send,
+                                  std::vector<TaskId> deps,
+                                  std::function<void()> after_end)
+{
+    const TaskId t_begin = tl.addTask(
+        name + ":begin",
+        [this, phase, send] {
+            if (send)
+                exchange_.beginFusedSend(phase);
+            else
+                exchange_.beginFusedSet(phase);
+            return TaskStatus::Complete;
+        },
+        std::move(deps), TaskCategory::Comm);
+    // The ":part<p>" suffix is non-numeric on purpose: the measured
+    // cost harvest would otherwise fold partition p's clock onto gid p.
+    std::vector<TaskId> parts;
+    parts.reserve(GhostExchange::kFusedPartitions);
+    for (int p = 0; p < GhostExchange::kFusedPartitions; ++p)
+        parts.push_back(tl.addTask(
+            name + ":part" + std::to_string(p),
+            [this, phase, send, p] {
+                if (send)
+                    exchange_.packFusedPartition(phase, p);
+                else
+                    exchange_.unpackFusedPartition(phase, p);
+                return TaskStatus::Complete;
+            },
+            {t_begin}, TaskCategory::Comm));
+    return tl.addTask(
+        name + ":end",
+        [this, phase, send, after_end = std::move(after_end)] {
+            if (send)
+                exchange_.endFusedSend(phase);
+            else
+                exchange_.endFusedSet(phase);
+            if (after_end)
+                after_end();
+            return TaskStatus::Complete;
+        },
+        std::move(parts), TaskCategory::Comm);
+}
+
 EvolutionDriver::FusedBoundsIds
 EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
 {
@@ -707,21 +728,21 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
         },
         {}, TaskCategory::Comm);
     FusedBoundsIds ids;
-    ids.send = tl.addTask(
-        "SendBoundBufs:plan:bounds",
-        [this] {
-            exchange_.sendBoundBufsFused();
-            return TaskStatus::Complete;
-        },
-        {t_start}, TaskCategory::Comm);
-    // One poll per inbound coalesced message — O(rank pairs), where
-    // the per-face graph polls O(blocks). Self-pair polls depend only
-    // on t_start: the send task has no poll dependencies, so the
-    // executor always reaches it and the polls then complete.
+    ids.send = addFusedRowTasks(tl, "SendBoundBufs:plan:bounds",
+                                PlanPhase::Bounds, /*send=*/true,
+                                {t_start});
+    // One poll per inbound coalesced message: O(rank pairs), where the
+    // per-face graph polls O(blocks). A message this replica sends
+    // itself (the self pair of a rank shard; every pair on a classic
+    // mesh, which plays all ranks' parts) cannot arrive before the
+    // send's end step isends it, so its poll waits on that step rather
+    // than spinning through the partitions. Only polls for a peer
+    // rank's messages start at t_start, since those may land early.
     std::vector<TaskId> polls;
     const auto& msgs = exchange_.plan().messages(PlanPhase::Bounds);
     for (int id : exchange_.fusedRecvIds(PlanPhase::Bounds)) {
         const PlanMessage* m = &msgs[static_cast<std::size_t>(id)];
+        const bool own = !mesh_->sharded() || m->src == m->dst;
         polls.push_back(tl.addTask(
             "ReceiveBoundBufs:plan:bounds:r" + std::to_string(m->src) +
                 ">r" + std::to_string(m->dst),
@@ -730,19 +751,16 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
                            ? TaskStatus::Complete
                            : TaskStatus::Iterate;
             },
-            {t_start}, TaskCategory::Comm));
+            {own ? ids.send : t_start}, TaskCategory::Comm));
     }
-    ids.set = tl.addTask(
-        "SetBounds:plan:bounds",
-        [this] {
-            exchange_.setBoundsFused();
+    ids.set = addFusedRowTasks(
+        tl, "SetBounds:plan:bounds", PlanPhase::Bounds, /*send=*/false,
+        std::move(polls), [this] {
             // Physical fills run after ALL unpacks, preserving each
             // block's per-face order (unpack, then fill).
             for (MeshBlock* block : mesh_->ownedBlocks())
                 exchange_.applyPhysicalBoundariesBlock(*block);
-            return TaskStatus::Complete;
-        },
-        std::move(polls), TaskCategory::Comm);
+        });
     return ids;
 }
 
@@ -750,13 +768,9 @@ TaskId
 EvolutionDriver::addFusedFluxCorrTasks(TaskList& tl,
                                        std::vector<TaskId> deps)
 {
-    const TaskId t_fsend = tl.addTask(
-        "FluxCorrSend:plan:flux",
-        [this] {
-            exchange_.sendFluxCorrectionsFused();
-            return TaskStatus::Complete;
-        },
-        std::move(deps), TaskCategory::Comm);
+    const TaskId t_fsend =
+        addFusedRowTasks(tl, "FluxCorrSend:plan:flux", PlanPhase::Flux,
+                         /*send=*/true, std::move(deps));
     std::vector<TaskId> apply_deps{t_fsend};
     const auto& msgs = exchange_.plan().messages(PlanPhase::Flux);
     for (int id : exchange_.fusedRecvIds(PlanPhase::Flux)) {
@@ -771,22 +785,21 @@ EvolutionDriver::addFusedFluxCorrTasks(TaskList& tl,
             },
             {t_fsend}, TaskCategory::Comm));
     }
-    return tl.addTask(
-        "FluxCorrApply:plan:flux",
-        [this] {
-            exchange_.setFluxCorrectionsFused();
-            return TaskStatus::Complete;
-        },
-        std::move(apply_deps), TaskCategory::Comm);
+    return addFusedRowTasks(tl, "FluxCorrApply:plan:flux",
+                            PlanPhase::Flux, /*send=*/false,
+                            std::move(apply_deps));
 }
 
 /**
  * One RK stage over the boundary plan: the comm side of the graph
- * collapses from O(blocks x faces) tasks to O(rank pairs) — one fused
- * send, one poll per inbound coalesced message, one fused set — while
- * the per-block compute chain is unchanged. The tradeoff mirrors
- * pack_interior: per-block receive/compute overlap is traded for one
- * launch (and one message) per phase per rank pair.
+ * collapses from O(blocks x faces) tasks to O(rank pairs) plus a fixed
+ * partition count. Each fused send or set is a serial begin step,
+ * GhostExchange::kFusedPartitions row-partition tasks that every worker
+ * of the rank can pick up, and a serial end step; one poll runs per
+ * inbound coalesced message. The per-block compute chain is unchanged.
+ * The tradeoff mirrors pack_interior: per-block receive/compute
+ * overlap is traded for one kernel (and one message) per phase per
+ * rank pair.
  */
 TaskList
 EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
@@ -839,7 +852,8 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
             },
             {flux_correction ? t_fapply : flux_tasks[b]});
         // As in the per-face graph: the update rewrites the interior
-        // the fused send reads, so it must trail the send task.
+        // the fused send's partitions read, so it must trail the
+        // send's end step.
         tl.addTask(
             "WeightedSumData:" + gid,
             [this, block, stage] {

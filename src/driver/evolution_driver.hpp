@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "comm/boundary_buffers.hpp"
@@ -300,18 +302,32 @@ class EvolutionDriver
     /** Ids of the fused (boundary-plan) ghost-bounds task chain. */
     struct FusedBoundsIds
     {
+        /** End steps of the fused send and set. */
         TaskId send = -1, set = -1;
     };
     /**
-     * Add the fused bounds chain: start -> one fused send -> one poll
-     * per inbound coalesced message -> one fused set. O(rank pairs)
-     * tasks per phase instead of O(blocks). Requires a current plan
-     * (the fused builders call ensureBuilt() first, at a serial point).
+     * Add one fused send (or set) of `phase` as `name:begin` (gated on
+     * `deps`) -> GhostExchange::kFusedPartitions `name:part<p>` tasks
+     * -> `name:end`, which runs `after_end` (if any) last; returns the
+     * end task id.
+     */
+    TaskId addFusedRowTasks(TaskList& tl, const std::string& name,
+                            PlanPhase phase, bool send,
+                            std::vector<TaskId> deps,
+                            std::function<void()> after_end = {});
+    /**
+     * Add the fused bounds chain: start -> fused send (begin ->
+     * partitions -> end) -> one poll per inbound coalesced message ->
+     * fused set (begin -> partitions -> end, plus the physical-boundary
+     * fill). O(rank pairs) tasks per phase instead of O(blocks).
+     * Requires a current plan (the fused builders call ensureBuilt()
+     * first, at a serial point).
      */
     FusedBoundsIds addFusedBoundsTasks(TaskList& tl);
     /**
-     * Add the fused flux-correction chain gated on `deps`; returns the
-     * apply task id.
+     * Add the fused flux-correction chain (send, polls, apply; send and
+     * apply partitioned like the bounds chain) gated on `deps`; returns
+     * the apply end task id.
      */
     TaskId addFusedFluxCorrTasks(TaskList& tl, std::vector<TaskId> deps);
     /** Fused-path counterpart of buildStageGraph. */

@@ -81,8 +81,9 @@ struct MeshConfig
     /**
      * Route ghost and flux-correction exchanges through the
      * BoundaryPlan (`<exec> fused_boundaries`, default on): one fused
-     * pack/unpack launch per phase over the plan's buffer table, and
-     * one coalesced mailbox message per (src rank, dst rank) pair per
+     * pack/unpack kernel per phase over the plan's buffer table, run
+     * as row partitions on every worker of the rank, and one
+     * coalesced mailbox message per (src rank, dst rank) pair per
      * phase instead of one per face. Bitwise identical to the per-face
      * path at any thread or rank count.
      */

@@ -13,13 +13,25 @@
  */
 #pragma once
 
+#include <cmath>
+
 #include "exec/exec_context.hpp"
 #include "mesh/mesh_block.hpp"
 
 namespace vibe {
 
-/** minmod(a, b): 0 on sign disagreement, else the smaller magnitude. */
-double minmod(double a, double b);
+/**
+ * minmod(a, b): 0 on sign disagreement, else the smaller magnitude.
+ * Inline so the block prolongation and the ghost prolongation in the
+ * boundary exchange inline it into their inner loops.
+ */
+inline double
+minmod(double a, double b)
+{
+    if (a * b <= 0.0)
+        return 0.0;
+    return std::fabs(a) < std::fabs(b) ? a : b;
+}
 
 /**
  * Volume-average the full interior of `child` into the octant of

@@ -38,12 +38,12 @@ namespace shard_test {
 
 inline MeshConfig
 shardMeshConfig(int num_ranks, int num_threads, bool pack_interior,
-                bool fused = envFusedBoundaries(true))
+                bool fused = envFusedBoundaries(true), int amr_levels = 2)
 {
     MeshConfig config;
     config.nx1 = config.nx2 = config.nx3 = 16;
     config.blockNx1 = config.blockNx2 = config.blockNx3 = 8;
-    config.amrLevels = 2;
+    config.amrLevels = amr_levels;
     config.numThreads = num_threads;
     config.numRanks = num_ranks;
     config.packInterior = pack_interior;
@@ -93,6 +93,8 @@ struct ShardRun
     std::int64_t remeshEvents = 0;
     int movedBlocks = 0;
     double migratedBytes = 0;
+    /** Deepest refinement level in the final mesh. */
+    int maxLevel = 0;
 };
 
 inline void
@@ -122,7 +124,7 @@ captureBlock(const MeshBlock& block, ShardRun* out)
 inline ShardRun
 runClassic(const std::string& package_name, int num_threads,
            int lb_every = 1, bool pack_interior = false,
-           bool fused = envFusedBoundaries(true))
+           bool fused = envFusedBoundaries(true), int amr_levels = 2)
 {
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
@@ -130,8 +132,9 @@ runClassic(const std::string& package_name, int num_threads,
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(num_threads));
-    Mesh mesh(shardMeshConfig(1, num_threads, pack_interior, fused),
-              registry, ctx);
+    Mesh mesh(
+        shardMeshConfig(1, num_threads, pack_interior, fused, amr_levels),
+        registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     EvolutionDriver driver(mesh, *package, world, tagger,
@@ -143,6 +146,7 @@ runClassic(const std::string& package_name, int num_threads,
     captureHistory(driver.history(), &out);
     for (const auto& block : mesh.blocks())
         captureBlock(*block, &out);
+    out.maxLevel = mesh.maxPresentLevel();
     return out;
 }
 
@@ -150,12 +154,13 @@ runClassic(const std::string& package_name, int num_threads,
 inline ShardRun
 runTeam(const std::string& package_name, int num_ranks, int num_threads,
         int lb_every = 1, bool pack_interior = false,
-        bool fused = envFusedBoundaries(true))
+        bool fused = envFusedBoundaries(true), int amr_levels = 2)
 {
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
     RankTeam team(
-        shardMeshConfig(num_ranks, num_threads, pack_interior, fused),
+        shardMeshConfig(num_ranks, num_threads, pack_interior, fused,
+                        amr_levels),
         registry, *package, shardDriverConfig(lb_every), [](int) {
             return std::make_unique<SphericalWaveTagger>(
                 shardWaveParams());
@@ -195,6 +200,7 @@ runTeam(const std::string& package_name, int num_ranks, int num_threads,
         }
         captureBlock(*owned, &out);
     }
+    out.maxLevel = team.mesh(0).maxPresentLevel();
     return out;
 }
 

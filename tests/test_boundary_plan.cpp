@@ -13,7 +13,8 @@
  *   exactly.
  * - Equivalence: the fused path is bitwise identical to the per-face
  *   path for both physics packages across 1/2/4 threads and 1/2/4
- *   ranks, through mid-run remeshes and real storage migrations.
+ *   ranks, through mid-run remeshes and real storage migrations, and
+ *   on a 3-level mesh whose ghosts prolongate across two level jumps.
  */
 #include <gtest/gtest.h>
 
@@ -236,6 +237,29 @@ TEST_P(FusedBoundaryEquivalence, FusedMatchesPerFaceBitwise)
                                    std::to_string(threads) +
                                    " threads vs per-face classic");
         }
+    }
+}
+
+TEST_P(FusedBoundaryEquivalence, ThreeLevelFusedMatchesPerFaceBitwise)
+{
+    // Three AMR levels: fine ghosts are prolongated across two level
+    // jumps (0 -> 1 and 1 -> 2), all inside the partitioned fused set
+    // tasks, which must still match the per-face path bit for bit.
+    const std::string package = GetParam();
+    for (int threads : {1, 2, 4}) {
+        const ShardRun per_face = runClassic(package, threads, 1, false,
+                                             /*fused=*/false, 3);
+        EXPECT_EQ(per_face.maxLevel, 2) << "workload must reach level 2";
+        EXPECT_GT(per_face.remeshEvents, 0);
+        const std::string at = " @" + std::to_string(threads) + " threads";
+        expectBitwiseEqual(
+            per_face,
+            runClassic(package, threads, 1, false, /*fused=*/true, 3),
+            package + " 3-level fused classic" + at);
+        expectBitwiseEqual(
+            per_face,
+            runTeam(package, 2, threads, 1, false, /*fused=*/true, 3),
+            package + " 3-level fused @2 ranks" + at);
     }
 }
 

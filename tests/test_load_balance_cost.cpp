@@ -3,8 +3,9 @@
  * Measured-cost load balancing: cost-model normalization/EMA, the
  * lb_cost knobs, partition hysteresis (direct and end-to-end
  * no-thrash), refinement cost inheritance, checkpoint cost carriage,
- * measured-vs-uniform bitwise state equality, and the stiff reaction
- * package that makes per-block cost imbalance real.
+ * measured-vs-uniform bitwise state equality, the task-name -> block
+ * gid mapping of the cost harvest, and the stiff reaction package that
+ * makes per-block cost imbalance real.
  */
 #include "shard_harness.hpp"
 
@@ -67,6 +68,24 @@ TEST(LbCostMode, NamesAndEnvKnob)
     EXPECT_EQ(envLbCostMode(LbCostMode::Measured), LbCostMode::Measured);
     if (saved)
         setenv("VIBE_LB_COST", saved_value.c_str(), 1);
+}
+
+TEST(BlockCostModel, TaskNameGidOnlyForPerBlockTasks)
+{
+    // Per-block tasks carry an all-digit ":<gid>" suffix.
+    EXPECT_EQ(detail::taskNameGid("CalculateFluxes:17"), 17);
+    EXPECT_EQ(detail::taskNameGid("WeightedSumData:0"), 0);
+    // Fused-phase steps, their row partitions and rank-pair polls
+    // belong to no block: their clocks must not land on gid 3 or 1.
+    for (const char* name :
+         {"SendBoundBufs:plan:bounds:begin",
+          "SendBoundBufs:plan:bounds:part3",
+          "SetBounds:plan:bounds:end",
+          "FluxCorrApply:plan:flux:part7",
+          "ReceiveBoundBufs:plan:bounds:r0>r1",
+          "FluxCorrRecv:plan:flux:r2>r3", "StartReceiveBoundBufs",
+          "CalculateFluxes:", "CalculateFluxes:1a"})
+        EXPECT_EQ(detail::taskNameGid(name), -1) << name;
 }
 
 TEST(BlockCostModel, AccumulatesPositiveSamplesPerCycle)

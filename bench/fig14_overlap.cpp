@@ -1,11 +1,12 @@
 /**
  * @file fig14_overlap.cpp
  * Communication/computation overlap of the asynchronous task-graph
- * timestep (paper §II-C/§II-D). Each RK stage is a per-block task
- * graph in which boundary pack/poll/unpack tasks interleave with
- * interior flux, divergence and update tasks; on a ThreadPoolSpace
- * the polling receive tasks run while other blocks compute, hiding
- * exchange time the strictly-phased seed driver exposed.
+ * timestep (paper §II-C/§II-D). Each RK stage is a task graph in which
+ * the boundary plan's send/set row partitions and coalesced-message
+ * polls share the workers with per-block interior flux, divergence and
+ * update tasks; on a ThreadPoolSpace the polls and the flux-correction
+ * exchange run while other blocks compute, hiding exchange time the
+ * strictly-phased seed driver exposed.
  *
  * Metric: per thread count T, the driver reports wall seconds of the
  * stage graphs plus the per-category sums of task time. With overlap,
@@ -47,8 +48,7 @@ struct OverlapPoint
 };
 
 OverlapPoint
-runOverlap(int mesh_nx, int block_nx, int cycles, int threads,
-           bool fused)
+runOverlap(int mesh_nx, int block_nx, int cycles, int threads)
 {
     using namespace vibe;
     KernelProfiler profiler;
@@ -63,7 +63,6 @@ runOverlap(int mesh_nx, int block_nx, int cycles, int threads,
         block_nx;
     mesh_config.amrLevels = 2;
     mesh_config.numThreads = threads;
-    mesh_config.fusedBoundaries = fused;
     Mesh mesh(mesh_config, registry, ctx);
     RankWorld world(2);
 
@@ -129,8 +128,7 @@ main(int argc, char** argv)
                      "compute (s)", "hidden (s)", "overlap",
                      "task conc"});
     for (int threads : {1, 2, 4, 8}) {
-        const OverlapPoint p = runOverlap(mesh, 8, cycles, threads,
-                                          vibe::envFusedBoundaries());
+        const OverlapPoint p = runOverlap(mesh, 8, cycles, threads);
         const double hidden = std::clamp(
             p.comm + p.compute - p.wall, 0.0, p.comm);
         const double overlap = p.comm > 0 ? hidden / p.comm : 0.0;
@@ -150,40 +148,31 @@ main(int argc, char** argv)
            "run while interior blocks compute");
     table.print(std::cout);
 
-    // Per-face vs fused boundary path, side by side per block size.
-    // The per-face graph polls each face channel as its own task; the
-    // fused graph polls one coalesced message per adjacent rank pair
-    // and phase, so its message count no longer scales with the face
-    // count — the byte volume is identical by construction.
-    Table fusedTable("\nBoundary path: per-face vs fused "
-                     "BoundaryPlan (4 threads)");
-    fusedTable.setHeader({"block", "path", "bnd msgs/cyc",
-                          "bnd MB/cyc", "stage wall (s)", "comm (s)",
-                          "overlap"});
+    // Boundary-plan traffic per block size. The graph polls one
+    // coalesced message per adjacent rank pair and phase, so its
+    // message count does not scale with the face count.
+    Table planTable("\nBoundary plan traffic by block size (4 threads)");
+    planTable.setHeader({"block", "bnd msgs/cyc", "bnd MB/cyc",
+                         "stage wall (s)", "comm (s)", "overlap"});
     for (int block : {8, 16, 32}) {
         // Periodic meshes need >= 2 blocks per dimension.
         if (2 * block > mesh || mesh % block != 0)
             continue;
-        for (const bool fused : {false, true}) {
-            const OverlapPoint p =
-                runOverlap(mesh, block, cycles, 4, fused);
-            const double hidden = std::clamp(
-                p.comm + p.compute - p.wall, 0.0, p.comm);
-            const double overlap = p.comm > 0 ? hidden / p.comm : 0.0;
-            fusedTable.addRow(
-                {std::to_string(block), fused ? "fused" : "per-face",
-                 formatFixed(p.msgsPerCycle, 1),
-                 formatFixed(p.boundaryMBPerCycle, 3),
-                 formatFixed(p.wall, 3), formatFixed(p.comm, 3),
-                 formatPercent(overlap)});
-        }
+        const OverlapPoint p = runOverlap(mesh, block, cycles, 4);
+        const double hidden =
+            std::clamp(p.comm + p.compute - p.wall, 0.0, p.comm);
+        const double overlap = p.comm > 0 ? hidden / p.comm : 0.0;
+        planTable.addRow({std::to_string(block),
+                          formatFixed(p.msgsPerCycle, 1),
+                          formatFixed(p.boundaryMBPerCycle, 3),
+                          formatFixed(p.wall, 3), formatFixed(p.comm, 3),
+                          formatPercent(overlap)});
     }
-    fusedTable.addNote("fused sends one coalesced message per rank "
-                       "pair and phase; bytes/cycle match per-face "
-                       "exactly");
-    expect(fusedTable,
-           "fused msgs/cyc is O(rank pairs), per-face msgs/cyc is "
-           "O(faces); the gap widens as blocks shrink");
-    fusedTable.print(std::cout);
+    planTable.addNote("one coalesced message per rank pair and phase; "
+                      "bytes/cycle are the channels' wire bytes");
+    expect(planTable,
+           "msgs/cyc is O(rank pairs) at every block size, while "
+           "MB/cyc grows as blocks shrink");
+    planTable.print(std::cout);
     return 0;
 }

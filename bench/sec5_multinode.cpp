@@ -98,55 +98,42 @@ runMeasured(int mesh, int block, const std::string& json_path)
                   "execution.");
     table.print(std::cout);
 
-    // Per-face vs fused boundary coalescing at increasing block size.
-    // The fused BoundaryPlan path carries identical bytes in
-    // O(adjacent rank pairs) messages per phase instead of O(faces);
-    // smaller blocks mean more faces, so the message-count win grows
-    // as the block size shrinks.
-    Table coal("\nBoundary coalescing: per-face vs fused (" +
+    // Boundary coalescing at increasing block size. The BoundaryPlan
+    // sends O(adjacent rank pairs) messages per phase, not O(faces);
+    // smaller blocks mean more faces and more bytes, but no more
+    // messages.
+    Table coal("\nBoundary coalescing by block size (" +
                std::to_string(mesh) + "^3 mesh, 2 ranks, L2)");
-    coal.setHeader({"block", "path", "bnd msgs/cyc", "bnd MB/cyc",
-                    "zone-cyc/s", "fused/per-face"});
+    coal.setHeader(
+        {"block", "bnd msgs/cyc", "bnd MB/cyc", "zone-cyc/s"});
     for (int coal_block : {8, 16, 32}) {
         // Periodic meshes need >= 2 blocks per dimension.
         if (2 * coal_block > mesh || mesh % coal_block != 0)
             continue;
-        double per_face_fom = 0.0;
-        for (const bool fused : {false, true}) {
-            ExperimentSpec spec;
-            spec.meshSize = mesh;
-            spec.blockSize = coal_block;
-            spec.amrLevels = 2;
-            spec.ncycles = 4;
-            spec.numeric = true;
-            spec.numRanks = 2;
-            spec.numThreads = 1;
-            spec.fusedBoundaries = fused;
-            const ExperimentResult result = Experiment(spec).run();
-            if (!fused)
-                per_face_fom = result.measuredFom();
-            coal.addRow(
-                {std::to_string(coal_block),
-                 fused ? "fused" : "per-face",
-                 formatFixed(result.messagesPerCycle(), 1),
-                 formatFixed(result.boundaryBytesPerCycle() / 1.0e6, 3),
-                 formatSci(result.measuredFom(), 2),
-                 fused && per_face_fom > 0
-                     ? formatRatio(result.measuredFom() / per_face_fom)
-                     : "-"});
-            const std::vector<std::pair<std::string, std::string>> cfg{
-                {"block", std::to_string(coal_block)},
-                {"path", fused ? "fused" : "per_face"},
-                {"mesh", std::to_string(mesh)}};
-            report.add("boundary_messages_per_cycle", cfg,
-                       result.messagesPerCycle());
-            report.add("boundary_bytes_per_cycle", cfg,
-                       result.boundaryBytesPerCycle());
-        }
+        ExperimentSpec spec;
+        spec.meshSize = mesh;
+        spec.blockSize = coal_block;
+        spec.amrLevels = 2;
+        spec.ncycles = 4;
+        spec.numeric = true;
+        spec.numRanks = 2;
+        spec.numThreads = 1;
+        const ExperimentResult result = Experiment(spec).run();
+        coal.addRow(
+            {std::to_string(coal_block),
+             formatFixed(result.messagesPerCycle(), 1),
+             formatFixed(result.boundaryBytesPerCycle() / 1.0e6, 3),
+             formatSci(result.measuredFom(), 2)});
+        const std::vector<std::pair<std::string, std::string>> cfg{
+            {"block", std::to_string(coal_block)},
+            {"mesh", std::to_string(mesh)}};
+        report.add("boundary_messages_per_cycle", cfg,
+                   result.messagesPerCycle());
+        report.add("boundary_bytes_per_cycle", cfg,
+                   result.boundaryBytesPerCycle());
     }
-    coal.addNote("both paths are bitwise state-identical "
-                 "(tests/test_boundary_plan.cpp); fused coalesces "
-                 "each rank pair's boundary into one message/phase");
+    coal.addNote("each rank pair's boundary travels as one message "
+                 "per phase");
     coal.print(std::cout);
 
     // Checkpoint overhead: async (double-buffered off-thread drain)

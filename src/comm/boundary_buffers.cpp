@@ -236,23 +236,6 @@ BoundaryBufferCache::rebuild()
             std::swap(bounds_[i - 1], bounds_[rng_.uniformInt(i)]);
     }
 
-    send_index_.assign(mesh_->numBlocks(), {});
-    recv_index_.assign(mesh_->numBlocks(), {});
-    for (std::size_t c = 0; c < bounds_.size(); ++c) {
-        send_index_[bounds_[c].sender->gid()].push_back(
-            static_cast<int>(c));
-        recv_index_[bounds_[c].receiver->gid()].push_back(
-            static_cast<int>(c));
-    }
-    flux_send_index_.assign(mesh_->numBlocks(), {});
-    flux_recv_index_.assign(mesh_->numBlocks(), {});
-    for (std::size_t c = 0; c < flux_.size(); ++c) {
-        flux_send_index_[flux_[c].sender->gid()].push_back(
-            static_cast<int>(c));
-        flux_recv_index_[flux_[c].receiver->gid()].push_back(
-            static_cast<int>(c));
-    }
-
     // Serial cost drivers: one key per channel for the sort/shuffle,
     // one metadata record per channel for the ViewOfViews fill +
     // host-to-device copy (§VIII-A "Metadata Filling").
@@ -292,16 +275,6 @@ BoundaryBufferCache::totalWireFacesFor(int rank) const
         if (ch.sender->rank() == rank)
             faces += ch.wireFaces();
     return faces;
-}
-
-std::size_t
-BoundaryBufferCache::recvChannelCountFor(int rank) const
-{
-    std::size_t count = 0;
-    for (const auto& ch : bounds_)
-        if (ch.receiver->rank() == rank)
-            ++count;
-    return count;
 }
 
 std::size_t

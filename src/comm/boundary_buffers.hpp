@@ -94,9 +94,9 @@ struct FluxChannel
 };
 
 /**
- * The cache of all channels for the current mesh structure, plus
- * per-block send/receive indexes. Owned by the ghost-exchange engine;
- * rebuilt by the driver after every restructure.
+ * The cache of all channels for the current mesh structure. The
+ * BoundaryPlan flattens it into the exchange's buffer table; the
+ * driver rebuilds it after every restructure.
  */
 class BoundaryBufferCache
 {
@@ -115,26 +115,6 @@ class BoundaryBufferCache
     const std::vector<BoundsChannel>& bounds() const { return bounds_; }
     const std::vector<FluxChannel>& flux() const { return flux_; }
 
-    /** Indices into bounds() sent by / received by block `gid`. */
-    const std::vector<int>& sendIndex(int gid) const
-    {
-        return send_index_.at(gid);
-    }
-    const std::vector<int>& recvIndex(int gid) const
-    {
-        return recv_index_.at(gid);
-    }
-
-    /** Indices into flux() sent by / received by block `gid`. */
-    const std::vector<int>& fluxSendIndex(int gid) const
-    {
-        return flux_send_index_.at(gid);
-    }
-    const std::vector<int>& fluxRecvIndex(int gid) const
-    {
-        return flux_recv_index_.at(gid);
-    }
-
     /** Ghost cells on the wire for one full exchange. */
     std::int64_t totalWireCells() const;
     /** Flux-correction faces on the wire for one full exchange. */
@@ -145,8 +125,6 @@ class BoundaryBufferCache
      * totalWireFaces across a team).
      */
     std::int64_t totalWireFacesFor(int rank) const;
-    /** Bounds channels whose receiver is owned by `rank`. */
-    std::size_t recvChannelCountFor(int rank) const;
     /** Channels whose endpoints live on different ranks. */
     std::size_t remoteChannelCount() const;
     /** Wire bytes crossing ranks in one exchange (all components). */
@@ -179,10 +157,6 @@ class BoundaryBufferCache
     Rng rng_;
     std::vector<BoundsChannel> bounds_;
     std::vector<FluxChannel> flux_;
-    std::vector<std::vector<int>> send_index_;
-    std::vector<std::vector<int>> recv_index_;
-    std::vector<std::vector<int>> flux_send_index_;
-    std::vector<std::vector<int>> flux_recv_index_;
     std::uint64_t rebuild_count_ = 0;
     /**
      * Guards hook (re)registration against the rebuild path invoking

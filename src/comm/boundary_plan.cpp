@@ -201,8 +201,8 @@ BoundaryPlan::rebuild()
                     msg.doubles += entry.count;
                     msg.wireUnits += wire_units(entry.channel);
                 }
-                // One coalesced message carries exactly the bytes the
-                // per-face path would have split across its entries.
+                // One coalesced message carries exactly the bytes of
+                // its entries' channels.
                 msg.bytes = static_cast<double>(msg.doubles) *
                             sizeof(double);
                 msg.entries = std::move(entries);

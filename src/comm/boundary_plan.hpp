@@ -17,14 +17,14 @@
  *    sends), and
  *  - all traffic between one (src rank, dst rank) pair per phase is
  *    coalesced into ONE combined RankWorld mailbox message whose
- *    payload is the offset-directory concatenation of the per-face
- *    payloads (Parthenon's bvals_cc_in_one / AthenaK combined-buffer
+ *    payload is the offset-directory concatenation of the
+ *    per-channel payloads (Parthenon's bvals_cc_in_one / AthenaK combined-buffer
  *    strategy).
  *
  * Message format: the payload is a flat array of doubles; entry e of
  * messageFor(phase, src, dst) occupies [offset, offset + count) and
- * carries exactly the doubles the per-face path would have sent on
- * entry e's channel, in the per-face pack order. Entries are sorted by
+ * carries exactly the doubles GhostExchange's per-channel pack writes
+ * for entry e's channel, in that pack's order. Entries are sorted by
  * the cache's canonical channel key (not the cache's possibly
  * shuffled storage order), so independently built sender and receiver
  * replicas agree on the directory byte for byte. Rank pairs with no
@@ -89,7 +89,7 @@ struct PlanMessage
     ChannelId id;
     /** Total payload doubles (sum of entry counts). */
     std::size_t doubles = 0;
-    /** Modeled wire bytes — equals the sum over the per-face path. */
+    /** Modeled wire bytes — equals the sum over its channels. */
     double bytes = 0;
     /** Wire cells (Bounds) or faces (Flux) carried, for accounting. */
     std::int64_t wireUnits = 0;

@@ -73,20 +73,13 @@ GhostExchange::exchangeBounds()
     // In-cycle exchanges run as task graphs and get per-task spans.
     TraceSpan span("ExchangeBounds", TraceCat::Comm,
                    mesh_->collectiveRank());
-    if (fused()) {
-        // Monolithic callers (driver initialization, direct tests) are
-        // serial points, so the lazy rebuild may happen right here.
-        plan_.ensureBuilt();
-        startReceiveBoundBufsFused();
-        sendFusedPhase(PlanPhase::Bounds);
-        receiveBoundBufsFused();
-        setFusedPhase(PlanPhase::Bounds);
-        return;
-    }
+    // Monolithic callers (driver initialization, direct tests) are
+    // serial points, so the lazy rebuild may happen right here.
+    plan_.ensureBuilt();
     startReceiveBoundBufs();
-    sendBoundBufs();
+    sendFusedPhase(PlanPhase::Bounds);
     receiveBoundBufs();
-    setBounds();
+    setFusedPhase(PlanPhase::Bounds);
 }
 
 void
@@ -97,15 +90,10 @@ GhostExchange::discardStaleDeliveries()
     // rank drivers this sweep would be wrong: a neighbor rank may
     // legitimately run up to one stage ahead, and its early sends
     // queue in FIFO order until this rank's matching receive — exactly
-    // MPI's eager-message semantics. The aborted cycle may have run
-    // either boundary path, so both message formats are swept: every
-    // per-face channel id, and every rank pair's coalesced ids
-    // (constructed directly — the plan may be stale or unbuilt here).
+    // MPI's eager-message semantics. Every rank pair's coalesced ids
+    // are swept, constructed directly: the plan may be stale or unbuilt
+    // here.
     std::size_t stale = 0;
-    for (const auto& ch : cache_->bounds())
-        stale += world_->discardPending(ch.id);
-    for (const auto& ch : cache_->flux())
-        stale += world_->discardPending(ch.id);
     const int nranks = world_->nranks();
     for (int src = 0; src < nranks; ++src)
         for (int dst = 0; dst < nranks; ++dst) {
@@ -117,84 +105,6 @@ GhostExchange::discardStaleDeliveries()
     if (stale > 0)
         warn("ghost exchange discarded ", stale,
              " stale buffers left by an aborted cycle");
-}
-
-void
-GhostExchange::startReceiveBoundBufs()
-{
-    // Per-cycle state reset lives here, at the top of the cycle, so an
-    // exchange that threw mid-cycle cannot leak wire counts, pending
-    // receives, or stale mailbox deliveries into the next one.
-    last_wire_cells_.store(0);
-    last_messages_.store(0);
-    last_send_bytes_.store(0);
-    if (!world_->concurrent())
-        discardStaleDeliveries();
-    const std::size_t expected =
-        mesh_->sharded()
-            ? cache_->recvChannelCountFor(mesh_->shardRank())
-            : cache_->bounds().size();
-    pending_receives_.store(expected);
-    // Buffer preparation is pure serial host work: one item per
-    // expected buffer.
-    recordSerialAt(mesh_->ctx(), "StartReceiveBoundBufs",
-                   mesh_->collectiveRank(), "recv_buf_prepare",
-                   static_cast<double>(expected));
-}
-
-void
-GhostExchange::sendBoundBufs()
-{
-    // Iterate senders in block order so kernel launches batch per block
-    // as Parthenon's packing kernels do. A sharded replica sends only
-    // from its owned shard; peers send their own.
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        sendBlockBounds(*block);
-}
-
-void
-GhostExchange::sendBlockBounds(const MeshBlock& block)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const auto& channels = cache_->sendIndex(block.gid());
-    if (channels.empty())
-        return;
-    double packed_values = 0;
-    double innermost = 0;
-    std::int64_t wire_cells = 0;
-    for (int idx : channels) {
-        const BoundsChannel& ch = cache_->bounds()[idx];
-        packAndSend(ch);
-        packed_values += static_cast<double>(ch.wireCells()) *
-                         mesh_->registry().ncompConserved();
-        innermost +=
-            rangeCount(ch.levelDiff == 1 ? ch.recv : ch.send, 0);
-        wire_cells += ch.wireCells();
-    }
-    last_wire_cells_.fetch_add(wire_cells);
-    // One batched pack kernel per block: copies + (for fine->coarse)
-    // the restriction arithmetic, both GPU-offloaded (§II-D).
-    recordKernelAt(ctx, "SendBoundBufs", block.rank(), "SendBoundBufs",
-                   packed_values, {1.0, 2.0 * sizeof(double)},
-                   innermost / static_cast<double>(channels.size()));
-    // Per-buffer metadata management is serial host work.
-    recordSerialAt(ctx, "SendBoundBufs", block.rank(),
-                   "bound_buf_metadata",
-                   static_cast<double>(channels.size()));
-}
-
-std::size_t
-GhostExchange::boundsPayloadCount(const BoundsChannel& ch) const
-{
-    return static_cast<std::size_t>(ch.wireCells()) *
-           mesh_->registry().ncompConserved();
-}
-
-std::size_t
-GhostExchange::fluxPayloadCount(const FluxChannel& ch) const
-{
-    return static_cast<std::size_t>(ch.wireFaces()) *
-           mesh_->registry().ncompConserved();
 }
 
 void
@@ -254,157 +164,6 @@ GhostExchange::countSend(double bytes)
 {
     last_messages_.fetch_add(1);
     last_send_bytes_.fetch_add(static_cast<std::int64_t>(bytes));
-}
-
-void
-GhostExchange::packAndSend(const BoundsChannel& ch)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const double bytes =
-        static_cast<double>(boundsPayloadCount(ch)) * sizeof(double);
-
-    std::vector<double> payload;
-    if (ctx.executing()) {
-        payload.resize(boundsPayloadCount(ch));
-        packBoundsChannel(ch, payload.data());
-    }
-    const bool remote = ch.sender->rank() != ch.receiver->rank();
-    recordSerialAt(ctx, "SendBoundBufs", ch.sender->rank(),
-                   remote ? "msg_remote" : "msg_local", 1.0);
-    recordSerialAt(ctx, "SendBoundBufs", ch.sender->rank(),
-                   remote ? "msg_remote_bytes" : "msg_local_bytes",
-                   bytes);
-    countSend(bytes);
-    world_->isend(ch.id, ch.sender->rank(), ch.receiver->rank(),
-                  std::move(payload), bytes);
-}
-
-void
-GhostExchange::receiveBoundBufs()
-{
-    if (mesh_->sharded()) {
-        // Sharded replica: only this rank's inbound channels are ours
-        // to consume, and remote senders run on their own threads, so
-        // poll until every expected buffer arrived (the real code's
-        // Iprobe progress loop) instead of asserting instant delivery.
-        const int rank = mesh_->shardRank();
-        // vibe-lint: allow(obs-isolation) peer-wait deadline bounding
-        // the Iprobe progress loop, not timing instrumentation.
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration<double>(kPeerWaitSeconds);
-        std::size_t expected = 0;
-        for (const auto& ch : cache_->bounds()) {
-            if (ch.receiver->rank() != rank)
-                continue;
-            ++expected;
-            while (!world_->iprobe(ch.id)) {
-                require(!world_->failed(),
-                        "ghost exchange aborted: a peer rank failed");
-                require(std::chrono::steady_clock::now() < deadline,
-                        "ghost exchange timed out waiting for buffer "
-                        "into ",
-                        ch.receiver->loc().str(), " on rank ", rank);
-                std::this_thread::yield();
-            }
-        }
-        recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", rank,
-                       "recv_poll", static_cast<double>(expected));
-        return;
-    }
-    // Poll until every expected buffer is present, as the real code
-    // nudges MPI progress with Iprobe. In the simulated world delivery
-    // is immediate, so one probe per channel suffices; the counters
-    // still capture the per-buffer polling cost.
-    std::uint64_t outstanding = 0;
-    for (const auto& ch : cache_->bounds())
-        if (!world_->iprobe(ch.id))
-            ++outstanding;
-    require(outstanding == 0,
-            "ghost exchange lost messages: ", outstanding,
-            " buffers missing");
-    recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", 0, "recv_poll",
-                   static_cast<double>(cache_->bounds().size()));
-}
-
-bool
-GhostExchange::pollBlockBounds(const MeshBlock& block)
-{
-    const auto& channels = cache_->recvIndex(block.gid());
-    for (int idx : channels)
-        if (!world_->iprobe(cache_->bounds()[idx].id))
-            return false;
-    // Record the polling cost once, when the block's buffers are all
-    // present; per-block totals sum to the monolithic recv_poll count.
-    if (!channels.empty())
-        recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", block.rank(),
-                       "recv_poll",
-                       static_cast<double>(channels.size()));
-    return true;
-}
-
-void
-GhostExchange::setBounds()
-{
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        setBlockBounds(*block);
-}
-
-void
-GhostExchange::setBlockBounds(MeshBlock& block)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const auto& channels = cache_->recvIndex(block.gid());
-    if (channels.empty())
-        return;
-    double written_values = 0;
-    double innermost = 0;
-    for (int idx : channels) {
-        const BoundsChannel& ch = cache_->bounds()[idx];
-        auto msg = world_->receive(ch.id);
-        require(msg.has_value(), "missing buffer for channel into ",
-                ch.receiver->loc().str());
-        // No direct cross-rank memory access on the step path: when the
-        // sending block's owner is another rank, the data MUST have
-        // traveled through the mailbox (real payload in numeric mode),
-        // and on a sharded replica the sender is a storage-less Shadow,
-        // making a direct read structurally impossible.
-        require(msg->src == ch.sender->rank() &&
-                    msg->dst == block.rank(),
-                "bounds message rank mismatch: channel ",
-                ch.sender->loc().str(), " -> ", ch.receiver->loc().str(),
-                " carried ", msg->src, " -> ", msg->dst, ", expected ",
-                ch.sender->rank(), " -> ", block.rank());
-        require(ch.sender->rank() == block.rank() ||
-                    !mesh_->ctx().executing() || !msg->payload.empty(),
-                "cross-rank unpack into ", block.loc().str(),
-                " without a mailbox payload");
-        require(!mesh_->sharded() ||
-                    ch.sender->rank() == mesh_->shardRank() ||
-                    !ch.sender->hasData(),
-                "non-owned sender ", ch.sender->loc().str(),
-                " holds data on rank ", mesh_->shardRank());
-        unpack(ch, *msg);
-        written_values += static_cast<double>(ch.recv.cells()) *
-                          mesh_->registry().ncompConserved();
-        innermost += ch.recv.i.count();
-    }
-    // One batched unpack kernel per block; prolongation of coarse
-    // slabs happens inside (GPU-offloaded).
-    recordKernelAt(ctx, "SetBounds", block.rank(), "SetBounds",
-                   written_values, {1.0, 2.0 * sizeof(double)},
-                   innermost / static_cast<double>(channels.size()));
-    recordSerialAt(ctx, "SetBounds", block.rank(), "bound_buf_metadata",
-                   static_cast<double>(channels.size()));
-    pending_receives_.fetch_sub(channels.size());
-}
-
-void
-GhostExchange::unpack(const BoundsChannel& ch, const Message& msg)
-{
-    if (!mesh_->ctx().executing())
-        return;
-    unpackBoundsChannel(ch, msg.payload.data(), msg.payload.size());
 }
 
 void
@@ -601,58 +360,11 @@ GhostExchange::exchangeFluxCorrections()
 {
     TraceSpan span("ExchangeFluxCorrections", TraceCat::Comm,
                    mesh_->collectiveRank());
-    if (fused()) {
-        // Serial point for monolithic callers; see exchangeBounds().
-        plan_.ensureBuilt();
-        sendFusedPhase(PlanPhase::Flux);
-        receiveFluxCorrectionsFused();
-        setFusedPhase(PlanPhase::Flux);
-        return;
-    }
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        sendBlockFluxCorrections(*block);
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        setBlockFluxCorrections(*block);
-}
-
-void
-GhostExchange::sendBlockFluxCorrections(const MeshBlock& block)
-{
-    const auto& channels = cache_->fluxSendIndex(block.gid());
-    if (channels.empty())
-        return;
-    for (int idx : channels)
-        packAndSendFlux(cache_->flux()[idx]);
-    recordSerialAt(mesh_->ctx(), "SendBoundBufs", block.rank(),
-                   "bound_buf_metadata",
-                   static_cast<double>(channels.size()));
-}
-
-bool
-GhostExchange::pollBlockFluxCorrections(const MeshBlock& block)
-{
-    for (int idx : cache_->fluxRecvIndex(block.gid()))
-        if (!world_->iprobe(cache_->flux()[idx].id))
-            return false;
-    return true;
-}
-
-void
-GhostExchange::setBlockFluxCorrections(MeshBlock& block)
-{
-    for (int idx : cache_->fluxRecvIndex(block.gid())) {
-        const FluxChannel& ch = cache_->flux()[idx];
-        auto msg = world_->receive(ch.id);
-        require(msg.has_value(), "missing flux-correction buffer");
-        require(msg->src == ch.sender->rank() &&
-                    msg->dst == block.rank(),
-                "flux message rank mismatch into ", block.loc().str());
-        require(ch.sender->rank() == block.rank() ||
-                    !mesh_->ctx().executing() || !msg->payload.empty(),
-                "cross-rank flux unpack into ", block.loc().str(),
-                " without a mailbox payload");
-        unpackFlux(ch, *msg);
-    }
+    // Serial point for monolithic callers; see exchangeBounds().
+    plan_.ensureBuilt();
+    sendFusedPhase(PlanPhase::Flux);
+    receiveFluxCorrections();
+    setFusedPhase(PlanPhase::Flux);
 }
 
 void
@@ -700,43 +412,13 @@ GhostExchange::packFluxChannel(const FluxChannel& ch, double* out) const
 }
 
 void
-GhostExchange::packAndSendFlux(const FluxChannel& ch)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const int ncomp = mesh_->registry().ncompConserved();
-    const double faces = static_cast<double>(ch.wireFaces());
-    const double bytes = faces * ncomp * sizeof(double);
-
-    std::vector<double> payload;
-    if (ctx.executing()) {
-        payload.resize(fluxPayloadCount(ch));
-        packFluxChannel(ch, payload.data());
-    }
-    // Restriction arithmetic is GPU work inside the pack kernel; the
-    // launch is accounted identically in counting mode.
-    recordKernelAt(ctx, "SendBoundBufs", ch.sender->rank(),
-                   "SendBoundBufs", faces * ncomp,
-                   {1.0, 2.0 * sizeof(double)},
-                   static_cast<double>(ch.recvFaces.i.count()));
-    const bool remote = ch.sender->rank() != ch.receiver->rank();
-    recordSerialAt(ctx, "SendBoundBufs", ch.sender->rank(),
-                   remote ? "msg_remote" : "msg_local", 1.0);
-    recordSerialAt(ctx, "SendBoundBufs", ch.sender->rank(),
-                   remote ? "msg_remote_bytes" : "msg_local_bytes",
-                   bytes);
-    countSend(bytes);
-    world_->isend(ch.id, ch.sender->rank(), ch.receiver->rank(),
-                  std::move(payload), bytes);
-}
-
-void
 GhostExchange::unpackFluxChannel(const FluxChannel& ch,
                                  const double* payload,
                                  std::size_t count) const
 {
     const int ncomp = mesh_->registry().ncompConserved();
     // One size check up front, then unchecked indexing in the per-face
-    // loop — the same hoist the bounds-unpack path received.
+    // loop, as in the bounds unpack.
     require(count == static_cast<std::size_t>(ch.wireFaces()) * ncomp,
             "flux-correction payload size mismatch");
     RealArray4& flux = ch.receiver->flux(ch.dir);
@@ -747,20 +429,6 @@ GhostExchange::unpackFluxChannel(const FluxChannel& ch,
                 for (int I = ch.recvFaces.i.lo; I <= ch.recvFaces.i.hi;
                      ++I)
                     flux(n, K, J, I) = payload[idx++];
-}
-
-void
-GhostExchange::unpackFlux(const FluxChannel& ch, const Message& msg)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const int ncomp = mesh_->registry().ncompConserved();
-    recordKernelAt(ctx, "SetBounds", ch.receiver->rank(), "SetBounds",
-                   static_cast<double>(ch.wireFaces()) * ncomp,
-                   {0.0, 2.0 * sizeof(double)},
-                   static_cast<double>(ch.recvFaces.i.count()));
-    if (!ctx.executing())
-        return;
-    unpackFluxChannel(ch, msg.payload.data(), msg.payload.size());
 }
 
 void
@@ -822,7 +490,7 @@ GhostExchange::applyPhysicalBoundariesBlock(MeshBlock& block)
 }
 
 // ---------------------------------------------------------------------
-// Fused BoundaryPlan path (<exec> fused_boundaries).
+// Fused BoundaryPlan phases.
 //
 // Every function below requires a current plan: the driver's graph
 // builders (and the monolithic exchange entry points) call
@@ -856,16 +524,17 @@ GhostExchange::fusedRecvIds(PlanPhase phase) const
 }
 
 void
-GhostExchange::startReceiveBoundBufsFused()
+GhostExchange::startReceiveBoundBufs()
 {
-    // Same per-cycle reset contract as startReceiveBoundBufs().
+    // Per-cycle state reset lives here, at the top of the cycle, so an
+    // exchange that threw mid-cycle cannot leak wire counts or stale
+    // mailbox deliveries into the next one.
     last_wire_cells_.store(0);
     last_messages_.store(0);
     last_send_bytes_.store(0);
     if (!world_->concurrent())
         discardStaleDeliveries();
     const std::vector<int> inbound = fusedRecvIds(PlanPhase::Bounds);
-    pending_receives_.store(inbound.size());
     // One coalesced buffer to prepare per inbound rank pair — this is
     // the point of the plan: O(ranks) bookkeeping, not O(faces).
     recordSerialAt(mesh_->ctx(), "StartReceiveBoundBufs",
@@ -893,10 +562,18 @@ GhostExchange::beginFusedSend(PlanPhase phase)
     fr.items.reserve(nentries);
     if (ctx.executing())
         fr.rows.reserve(nentries);
+    // Outbound payloads reuse the vectors the last set of this phase
+    // consumed; on an unchanged plan the resize keeps their storage.
+    // Stale contents never leak: the rows tile each payload exactly.
+    std::vector<std::vector<double>>& spare =
+        spare_payloads_[static_cast<int>(phase)];
     for (std::size_t s = 0; s < fr.ids.size(); ++s) {
         const PlanMessage& m = msgs[static_cast<std::size_t>(fr.ids[s])];
-        if (ctx.executing())
+        if (ctx.executing()) {
+            if (s < spare.size())
+                fr.payloads[s] = std::move(spare[s]);
             fr.payloads[s].resize(m.doubles);
+        }
         for (const PlanEntry& e : m.entries) {
             fr.ranks.push_back(m.src);
             fr.items.push_back(static_cast<double>(e.count));
@@ -940,8 +617,7 @@ GhostExchange::endFusedSend(PlanPhase phase)
     if (fr.ids.empty())
         return;
     // The partitions together are ONE fused pack (and restrict) kernel
-    // over every outbound channel of the phase; the per-face path pays
-    // one launch per block.
+    // over every outbound channel of the phase.
     recordPackKernelItems(
         ctx, "SendBoundBufs", "SendBoundBufs", {1.0, 2.0 * sizeof(double)},
         fr.ranks.data(), fr.items.data(),
@@ -985,8 +661,7 @@ GhostExchange::pollFusedMessage(const PlanMessage& msg)
 {
     if (!world_->iprobe(msg.id))
         return false;
-    // One probe per rank pair, recorded on completion like the
-    // per-block poll tasks.
+    // One probe per rank pair, recorded on completion.
     recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", msg.dst,
                    "recv_poll", 1.0);
     return true;
@@ -998,8 +673,8 @@ GhostExchange::receiveFusedPhase(PlanPhase phase)
     const auto& msgs = plan_.messages(phase);
     const std::vector<int> ids = fusedRecvIds(phase);
     if (mesh_->sharded()) {
-        // Concurrent peers: poll with a deadline, as the per-face
-        // sharded receive loop does.
+        // Concurrent peers: poll with a deadline, as an Iprobe
+        // progress loop does.
         // vibe-lint: allow(obs-isolation) peer-wait deadline bounding
         // the Iprobe progress loop, not timing instrumentation.
         const auto deadline =
@@ -1032,13 +707,13 @@ GhostExchange::receiveFusedPhase(PlanPhase phase)
 }
 
 void
-GhostExchange::receiveBoundBufsFused()
+GhostExchange::receiveBoundBufs()
 {
     receiveFusedPhase(PlanPhase::Bounds);
 }
 
 void
-GhostExchange::receiveFluxCorrectionsFused()
+GhostExchange::receiveFluxCorrections()
 {
     receiveFusedPhase(PlanPhase::Flux);
 }
@@ -1141,8 +816,13 @@ GhostExchange::endFusedSet(PlanPhase phase)
                            "bound_buf_metadata",
                            static_cast<double>(m.entries.size()));
         }
-        pending_receives_.fetch_sub(fr.ids.size());
     }
+    // Hand the consumed payloads to the next send of this phase.
+    std::vector<std::vector<double>>& spare =
+        spare_payloads_[static_cast<int>(phase)];
+    spare.clear();
+    for (Message& msg : fr.received)
+        spare.push_back(std::move(msg.payload));
     fr = FusedRows{};
 }
 

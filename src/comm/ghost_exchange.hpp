@@ -1,45 +1,25 @@
 /**
  * @file ghost_exchange.hpp
  * The four-function ghost-cell communication cycle (paper §II-D) and
- * the flux-correction exchange at fine-coarse faces.
+ * the flux-correction exchange at fine-coarse faces, both run over the
+ * BoundaryPlan's buffer table.
  *
- * - StartReceiveBoundBufs: post/prepare receive bookkeeping.
+ * - StartReceiveBoundBufs: reset the per-cycle state and prepare one
+ *   receive per inbound coalesced message.
  * - SendBoundBufs: restrict fine data destined for coarser neighbors
- *   (GPU-offloaded), pack variable data, and start non-blocking sends
- *   or local copies.
- * - ReceiveBoundBufs: poll with Iprobe/Test until every expected buffer
- *   has arrived.
- * - SetBounds: unpack buffers into ghost zones, prolongating coarse
- *   slabs into fine ghosts (GPU-offloaded), and mark buffers stale.
+ *   (GPU-offloaded), pack every outbound channel into its slice of a
+ *   coalesced payload, and isend one message per (src rank, dst rank)
+ *   pair.
+ * - ReceiveBoundBufs: poll with Iprobe until every expected coalesced
+ *   message has arrived.
+ * - SetBounds: unpack each channel's slice into ghost zones,
+ *   prolongating coarse slabs into fine ghosts (GPU-offloaded).
  *
  * Flux correction reuses the same machinery on flux fields only
  * (§II-C), replacing the coarse face flux with the restricted sum of
  * the fine fluxes so conservation holds across levels.
  *
- * Each phase is available in two granularities:
- *
- * - The monolithic phase functions (exchangeBounds() and friends) run
- *   a whole phase over every block, as the seed did. They are used by
- *   driver initialization and by direct tests.
- * - The per-block task factories (sendBlockBounds, pollBlockBounds,
- *   setBlockBounds, and the flux-correction trio) are the graph nodes
- *   the task-graph driver schedules, so boundary polling interleaves
- *   with interior compute (§II-C). They are safe to run concurrently
- *   for distinct blocks: every send reads only the sender's interior,
- *   every unpack writes only the receiver's ghosts (or its own flux
- *   faces), and all profiler records carry explicit phase/rank
- *   attribution instead of touching shared ambient state.
- *
- * Per-cycle state (pending-receive count, wire-cell counter, stale
- * mailbox entries from a cycle that threw) is reset at the top of
- * startReceiveBoundBufs(), so an exchange aborted mid-cycle can never
- * leave the next one waiting on phantom messages.
- *
- * A third granularity sits on top of both (<exec> fused_boundaries,
- * default on): the BoundaryPlan path. All traffic per (src rank, dst
- * rank) pair per phase travels as ONE coalesced mailbox message, and
- * each send or set phase runs in three steps over the plan's buffer
- * table:
+ * Each send or set phase runs in three steps:
  *
  * - a serial begin step builds the row table (one row per plan entry)
  *   and sizes the outbound payloads or receives the coalesced inbound
@@ -52,15 +32,26 @@
  *   serial bookkeeping and isends the coalesced messages (send), or
  *   leaves the physical-boundary fill to the caller (set).
  *
- * The per-channel pack/unpack arithmetic is shared verbatim with the
- * per-face path (packBoundsChannel and friends), every row writes a
- * disjoint payload slice or receiver region, and prolongation's
- * interior fallback reads cells no unpack writes, so the fused path is
- * bitwise identical to the per-face path at any thread or rank count.
- * The partition count is a plan constant, never the thread count, so
- * the task graph is the same at every concurrency. The plan must be
- * current (BoundaryPlan::ensureBuilt() at a serial point; the driver's
- * graph builders do this) before any fused phase function runs.
+ * The monolithic entry points (exchangeBounds() and
+ * exchangeFluxCorrections()) run the same steps back to back; driver
+ * initialization and direct tests use them.
+ *
+ * Outbound payloads are recycled: the set's end step keeps the
+ * payload vectors it consumed, and the next send of the phase resizes
+ * them instead of allocating, so on a steady mesh no phase allocates
+ * a payload-sized buffer.
+ *
+ * Every row writes a disjoint payload slice or receiver region, and
+ * prolongation's interior fallback reads cells no unpack writes, so
+ * the result is bitwise identical to packing and unpacking each
+ * channel on its own, at any thread or rank count. The partition count
+ * is a plan constant, never the thread count, so the task graph is the
+ * same at every concurrency. Per-cycle state (wire-cell and message
+ * counters, stale mailbox entries from a cycle that threw) is reset at
+ * the top of startReceiveBoundBufs(). The plan must be current
+ * (BoundaryPlan::ensureBuilt() at a serial point; the driver's graph
+ * builders and the monolithic entry points do this) before any phase
+ * function runs.
  */
 #pragma once
 
@@ -85,37 +76,11 @@ class GhostExchange
     /** Run one complete ghost exchange (the four phases, in order). */
     void exchangeBounds();
 
-    void startReceiveBoundBufs();
-    void sendBoundBufs();
-    void receiveBoundBufs();
-    void setBounds();
-
-    // --- Per-block task factories (bounds cycle) ---
-
-    /** Pack and isend every channel whose sender is `block`. */
-    void sendBlockBounds(const MeshBlock& block);
-    /**
-     * Probe the channels into `block`; true when every expected buffer
-     * is present (polling cost recorded once, on completion).
-     */
-    bool pollBlockBounds(const MeshBlock& block);
-    /** Receive and unpack every channel into `block`. */
-    void setBlockBounds(MeshBlock& block);
-
     /**
      * Run one flux-correction exchange. Must be called after fluxes are
      * computed and before FluxDivergence consumes them.
      */
     void exchangeFluxCorrections();
-
-    // --- Per-block task factories (flux-correction cycle) ---
-
-    /** Restrict-pack and isend the corrections `block` sends. */
-    void sendBlockFluxCorrections(const MeshBlock& block);
-    /** Probe the flux channels into `block`; true when all present. */
-    bool pollBlockFluxCorrections(const MeshBlock& block);
-    /** Receive and apply the corrections destined for `block`. */
-    void setBlockFluxCorrections(MeshBlock& block);
 
     /**
      * Fill ghost zones at non-periodic physical boundaries with
@@ -124,11 +89,6 @@ class GhostExchange
     void applyPhysicalBoundaries();
     /** Physical-boundary fill for one block (task-graph node). */
     void applyPhysicalBoundariesBlock(MeshBlock& block);
-
-    // --- Fused BoundaryPlan path (<exec> fused_boundaries) -----------
-
-    /** True when this run routes boundaries through the plan. */
-    bool fused() const { return mesh_->config().fusedBoundaries; }
 
     /** The plan (lazily rebuilt; see BoundaryPlan's lifecycle). */
     BoundaryPlan& plan() { return plan_; }
@@ -142,17 +102,20 @@ class GhostExchange
     std::vector<int> fusedSendIds(PlanPhase phase) const;
     std::vector<int> fusedRecvIds(PlanPhase phase) const;
 
-    /** Fused counterpart of startReceiveBoundBufs(). */
-    void startReceiveBoundBufsFused();
+    /**
+     * Reset the per-cycle state and prepare the bounds receives; the
+     * first step of every exchange cycle.
+     */
+    void startReceiveBoundBufs();
     /**
      * Probe one coalesced message (task-graph poll node); records the
      * polling cost on success.
      */
     bool pollFusedMessage(const PlanMessage& msg);
     /** Blocking poll for every inbound bounds message (monolithic). */
-    void receiveBoundBufsFused();
+    void receiveBoundBufs();
     /** Blocking poll for every inbound flux message (monolithic). */
-    void receiveFluxCorrectionsFused();
+    void receiveFluxCorrections();
 
     /**
      * Row partitions per fused send or set phase. A plan constant, not
@@ -186,23 +149,32 @@ class GhostExchange
     /** Finish a fused set: one unpack kernel record, bookkeeping. */
     void endFusedSet(PlanPhase phase);
 
+    // Per-channel payload arithmetic the partitions run. Public for
+    // the oracle tests, which pack and unpack each channel on its own.
+
+    /** Pack (restricting fine data) one bounds channel into `out`. */
+    void packBoundsChannel(const BoundsChannel& ch, double* out) const;
     /**
      * Unpack one bounds channel's payload into its receiver's ghosts,
-     * prolongating coarse slabs (the per-channel arithmetic both
-     * boundary paths share). Public for the prolongation oracle test.
+     * prolongating coarse slabs.
      */
     void unpackBoundsChannel(const BoundsChannel& ch,
                              const double* payload,
                              std::size_t count) const;
+    /** Restrict-pack one flux-correction channel into `out`. */
+    void packFluxChannel(const FluxChannel& ch, double* out) const;
+    /** Overwrite the receiver's coarse face fluxes with the payload. */
+    void unpackFluxChannel(const FluxChannel& ch, const double* payload,
+                           std::size_t count) const;
 
     /** Ghost cells moved in the most recent exchange cycle. */
     std::int64_t lastWireCells() const { return last_wire_cells_.load(); }
 
     /**
      * Boundary messages sent / modeled bytes since the last
-     * startReceiveBoundBufs (bounds + flux, both paths). The driver
-     * folds these into CycleStats so benches can report the per-face
-     * vs fused coalescing win per cycle.
+     * startReceiveBoundBufs (bounds + flux). The driver folds these
+     * into CycleStats so benches can report messages and bytes per
+     * cycle.
      */
     std::uint64_t lastBoundaryMessages() const
     {
@@ -214,22 +186,6 @@ class GhostExchange
     }
 
   private:
-    void packAndSend(const BoundsChannel& ch);
-    void unpack(const BoundsChannel& ch, const Message& msg);
-    void packAndSendFlux(const FluxChannel& ch);
-    void unpackFlux(const FluxChannel& ch, const Message& msg);
-
-    /** Payload doubles for one bounds / flux channel. */
-    std::size_t boundsPayloadCount(const BoundsChannel& ch) const;
-    std::size_t fluxPayloadCount(const FluxChannel& ch) const;
-
-    // Shared per-channel payload arithmetic: the per-face and fused
-    // paths both call these, so their payloads agree bit for bit.
-    void packBoundsChannel(const BoundsChannel& ch, double* out) const;
-    void packFluxChannel(const FluxChannel& ch, double* out) const;
-    void unpackFluxChannel(const FluxChannel& ch, const double* payload,
-                           std::size_t count) const;
-
     /**
      * Monolithic fused send / set: begin, every partition spread over
      * the space with parForExecRows, end.
@@ -276,9 +232,9 @@ class GhostExchange
     void countSend(double bytes);
 
     /**
-     * Discard stale mailbox deliveries from an aborted cycle (both
-     * per-face and coalesced formats). Classic worlds only — see the
-     * body for why the sweep is wrong with concurrent rank drivers.
+     * Discard stale coalesced deliveries from an aborted cycle.
+     * Classic worlds only — see the body for why the sweep is wrong
+     * with concurrent rank drivers.
      */
     void discardStaleDeliveries();
 
@@ -288,8 +244,14 @@ class GhostExchange
     BoundaryPlan plan_;
     FusedRows fused_send_[kNumPlanPhases];
     FusedRows fused_set_[kNumPlanPhases];
+    /**
+     * Payload vectors of the messages the last set of each phase
+     * consumed, recycled as the next send's outbound payloads so a
+     * steady mesh exchanges without allocating. Touched only by the
+     * serial begin/end steps.
+     */
+    std::vector<std::vector<double>> spare_payloads_[kNumPlanPhases];
     std::atomic<std::int64_t> last_wire_cells_{0};
-    std::atomic<std::uint64_t> pending_receives_{0};
     std::atomic<std::uint64_t> last_messages_{0};
     /** Modeled bytes are integral (cells x components x 8). */
     std::atomic<std::int64_t> last_send_bytes_{0};

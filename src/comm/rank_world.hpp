@@ -77,7 +77,7 @@ struct ChannelIdHash
  * Mailbox channel for one coalesced (src rank -> dst rank) boundary
  * message. Rank indices are encoded in the location fields at level -1,
  * which no real block can occupy (tree levels are >= 0), so coalesced
- * channels can never collide with per-face or Block channels.
+ * channels can never collide with per-channel or Block channel ids.
  */
 inline ChannelId
 coalescedChannelId(int src, int dst, ChannelKind kind)
@@ -116,8 +116,7 @@ struct Traffic
      * forms; Block migration traffic excluded) and their modeled
      * bytes. Both are subsets of the local/remote totals above — they
      * isolate the ghost-exchange term the BoundaryPlan coalesces, so
-     * benches can report messagesPerCycle / boundaryBytesPerCycle for
-     * the per-face and fused paths side by side.
+     * benches can report messagesPerCycle / boundaryBytesPerCycle.
      */
     std::uint64_t boundaryMessages = 0;
     double boundaryBytes = 0;

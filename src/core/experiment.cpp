@@ -255,7 +255,6 @@ Experiment::runAttempt(FaultInjector* injector,
     mesh_config.optimizeAuxMemory = spec.optimizeAuxMemory;
     mesh_config.numThreads = spec.numThreads;
     mesh_config.numRanks = spec.numRanks;
-    mesh_config.fusedBoundaries = spec.fusedBoundaries;
 
     DriverConfig driver_config;
     driver_config.ncycles = spec.ncycles;

@@ -66,13 +66,6 @@ struct ExperimentSpec
      */
     int numRanks = 1;
     /**
-     * Route boundary exchanges through the fused BoundaryPlan path
-     * (the `exec/fused_boundaries` knob, default on). Off selects the
-     * per-face path; results are bitwise identical either way, so the
-     * benches sweep both to isolate the coalescing win.
-     */
-    bool fusedBoundaries = true;
-    /**
      * Per-block cost source for load balancing (the `amr/lb_cost`
      * knob): "" defers to VIBE_LB_COST (default "uniform"); "measured"
      * feeds EMA-smoothed per-block wall clocks into the partitioner.
@@ -183,8 +176,8 @@ struct ExperimentResult
 
     /**
      * Mean boundary messages per cycle over the run (all ranks,
-     * bounds + flux). The fused path coalesces this from
-     * O(faces) to O(adjacent rank pairs) per phase.
+     * bounds + flux): O(adjacent rank pairs) per phase, since the
+     * boundary plan coalesces each pair's faces into one message.
      */
     double messagesPerCycle() const
     {

@@ -557,9 +557,7 @@ EvolutionDriver::step()
 
     saveState(*mesh_);
     for (int stage = 1; stage <= 2; ++stage) {
-        TaskList tl = exchange_.fused()
-                          ? buildStageGraphFused(stage, fc)
-                          : buildStageGraph(stage, fc);
+        TaskList tl = buildStageGraph(stage, fc);
         runGraph(tl, stageExecOptions());
 
         comm_cells_ += exchange_.lastWireCells();
@@ -583,15 +581,15 @@ EvolutionDriver::ensurePack()
 
 /**
  * Fused-pack timestep (paper fig05 small-block regime): ghost exchange
- * and flux correction still run as per-block task graphs — those are
- * genuinely irregular — but every interior phase is ONE hierarchical
- * pack launch over all blocks instead of one launch (or task) per
- * block. The chunked (block x cells) domain keeps all workers loaded
- * even when num_blocks < num_threads or blocks are tiny, and the
- * per-launch pool synchronization is paid once per phase rather than
- * once per block. The tradeoff versus the per-block graph is
- * exchange/compute overlap, which the launch-overhead savings dominate
- * exactly where packing is enabled.
+ * and flux correction still run as boundary-plan task graphs, but
+ * every interior phase is ONE hierarchical pack launch over all blocks
+ * instead of one launch (or task) per block. The chunked
+ * (block x cells) domain keeps all workers loaded even when
+ * num_blocks < num_threads or blocks are tiny, and the per-launch pool
+ * synchronization is paid once per phase rather than once per block.
+ * The tradeoff versus the per-block graph is exchange/compute
+ * overlap, which the launch-overhead savings dominate exactly where
+ * packing is enabled.
  *
  * Fused compute is accounted into the task wall/compute counters so
  * the fig14-style overlap arithmetic stays well-defined in pack mode.
@@ -608,8 +606,7 @@ EvolutionDriver::stepPacked(bool flux_correction)
 
     saveStatePack(*mesh_, pack);
     for (int stage = 1; stage <= 2; ++stage) {
-        TaskList bounds = exchange_.fused() ? buildBoundsGraphFused()
-                                            : buildBoundsGraph();
+        TaskList bounds = buildBoundsGraph();
         runGraph(bounds, options);
 
         const auto t_flux = clock::now();
@@ -619,9 +616,7 @@ EvolutionDriver::stepPacked(bool flux_correction)
                 .count();
 
         if (flux_correction) {
-            TaskList fcorr = exchange_.fused()
-                                 ? buildFluxCorrGraphFused()
-                                 : buildFluxCorrGraph();
+            TaskList fcorr = buildFluxCorrGraph();
             runGraph(fcorr, options);
         }
 
@@ -643,33 +638,6 @@ EvolutionDriver::stepPacked(bool flux_correction)
                                : cache_.totalWireFaces();
     }
     package_->fillDerivedPack(*mesh_, pack);
-}
-
-TaskList
-EvolutionDriver::buildBoundsGraph()
-{
-    TaskList tl;
-    const TaskId t_start = tl.addTask(
-        "StartReceiveBoundBufs",
-        [this] {
-            exchange_.startReceiveBoundBufs();
-            return TaskStatus::Complete;
-        },
-        {}, TaskCategory::Comm);
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        addBoundsTasks(tl, block, t_start);
-    return tl;
-}
-
-TaskList
-EvolutionDriver::buildFluxCorrGraph()
-{
-    // All fluxes are already computed when this graph runs, so the
-    // send/poll pair needs no dependencies.
-    TaskList tl;
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        addFluxCorrTasks(tl, block, {});
-    return tl;
 }
 
 TaskId
@@ -723,7 +691,7 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
     const TaskId t_start = tl.addTask(
         "StartReceiveBoundBufs",
         [this] {
-            exchange_.startReceiveBoundBufsFused();
+            exchange_.startReceiveBoundBufs();
             return TaskStatus::Complete;
         },
         {}, TaskCategory::Comm);
@@ -731,13 +699,13 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
     ids.send = addFusedRowTasks(tl, "SendBoundBufs:plan:bounds",
                                 PlanPhase::Bounds, /*send=*/true,
                                 {t_start});
-    // One poll per inbound coalesced message: O(rank pairs), where the
-    // per-face graph polls O(blocks). A message this replica sends
-    // itself (the self pair of a rank shard; every pair on a classic
-    // mesh, which plays all ranks' parts) cannot arrive before the
-    // send's end step isends it, so its poll waits on that step rather
-    // than spinning through the partitions. Only polls for a peer
-    // rank's messages start at t_start, since those may land early.
+    // One poll per inbound coalesced message: O(rank pairs), not
+    // O(blocks). A message this replica sends itself (the self pair of
+    // a rank shard; every pair on a classic mesh, which plays all
+    // ranks' parts) cannot arrive before the send's end step isends
+    // it, so its poll waits on that step rather than spinning through
+    // the partitions. Only polls for a peer rank's messages start at
+    // t_start, since those may land early.
     std::vector<TaskId> polls;
     const auto& msgs = exchange_.plan().messages(PlanPhase::Bounds);
     for (int id : exchange_.fusedRecvIds(PlanPhase::Bounds)) {
@@ -756,8 +724,8 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
     ids.set = addFusedRowTasks(
         tl, "SetBounds:plan:bounds", PlanPhase::Bounds, /*send=*/false,
         std::move(polls), [this] {
-            // Physical fills run after ALL unpacks, preserving each
-            // block's per-face order (unpack, then fill).
+            // Physical fills run after ALL unpacks: each block's
+            // ghosts are unpacked first, then filled.
             for (MeshBlock* block : mesh_->ownedBlocks())
                 exchange_.applyPhysicalBoundariesBlock(*block);
         });
@@ -791,18 +759,21 @@ EvolutionDriver::addFusedFluxCorrTasks(TaskList& tl,
 }
 
 /**
- * One RK stage over the boundary plan: the comm side of the graph
- * collapses from O(blocks x faces) tasks to O(rank pairs) plus a fixed
- * partition count. Each fused send or set is a serial begin step,
- * GhostExchange::kFusedPartitions row-partition tasks that every worker
- * of the rank can pick up, and a serial end step; one poll runs per
- * inbound coalesced message. The per-block compute chain is unchanged.
- * The tradeoff mirrors pack_interior: per-block receive/compute
- * overlap is traded for one kernel (and one message) per phase per
- * rank pair.
+ * One RK stage (paper §II-C) as a task graph: the boundary side is the
+ * plan's fused chain, O(rank pairs) tasks plus a fixed partition count,
+ * never O(blocks x faces). Each fused send or set is a serial begin
+ * step, GhostExchange::kFusedPartitions row-partition tasks that every
+ * worker of the rank can pick up, and a serial end step; one poll runs
+ * per inbound coalesced message. The interior is a per-block chain
+ * (fluxes -> divergence -> update). Tasks for distinct blocks touch
+ * only their own block's data and the partitions write disjoint rows,
+ * which is what makes threaded execution bitwise identical to the
+ * serial scan. The tradeoff mirrors pack_interior: per-block
+ * receive/compute overlap is traded for one kernel (and one message)
+ * per phase per rank pair.
  */
 TaskList
-EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
+EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
 {
     // Serial point: if the rebuild hook fired, the plan rebuild
     // happens here, before any task can read the tables.
@@ -835,8 +806,7 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
     }
 
     // The fused correction gates every divergence: corrections only
-    // flow once all fluxes exist, exactly as the per-face path orders
-    // each block's send before its apply.
+    // flow once all fluxes exist.
     TaskId t_fapply = -1;
     if (flux_correction)
         t_fapply = addFusedFluxCorrTasks(tl, flux_tasks);
@@ -851,9 +821,8 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
                 return TaskStatus::Complete;
             },
             {flux_correction ? t_fapply : flux_tasks[b]});
-        // As in the per-face graph: the update rewrites the interior
-        // the fused send's partitions read, so it must trail the
-        // send's end step.
+        // The update rewrites the interior the fused send's partitions
+        // read, so it must trail the send's end step.
         tl.addTask(
             "WeightedSumData:" + gid,
             [this, block, stage] {
@@ -866,7 +835,7 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
 }
 
 TaskList
-EvolutionDriver::buildBoundsGraphFused()
+EvolutionDriver::buildBoundsGraph()
 {
     exchange_.plan().ensureBuilt();
     TaskList tl;
@@ -876,146 +845,13 @@ EvolutionDriver::buildBoundsGraphFused()
 }
 
 TaskList
-EvolutionDriver::buildFluxCorrGraphFused()
+EvolutionDriver::buildFluxCorrGraph()
 {
     exchange_.plan().ensureBuilt();
     TaskList tl;
     tl.setLabel("plan:flux");
     addFusedFluxCorrTasks(tl, {});
     return tl;
-}
-
-/**
- * One RK stage as a per-block task graph (paper §II-C): every block
- * contributes its own send / poll / unpack / flux / divergence /
- * update chain, so boundary-receive polling tasks interleave with the
- * interior compute of blocks whose ghosts already arrived. Tasks for
- * distinct blocks only touch their own block's data (sends read the
- * sender's interior, unpacks write the receiver's ghosts), which is
- * what makes threaded execution bitwise identical to the serial scan.
- */
-TaskList
-EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
-{
-    TaskList tl;
-    const TaskId t_start = tl.addTask(
-        "StartReceiveBoundBufs",
-        [this] {
-            exchange_.startReceiveBoundBufs();
-            return TaskStatus::Complete;
-        },
-        {}, TaskCategory::Comm);
-
-    // The §VIII-B memory optimization shares reconstruction scratch
-    // across blocks; under a threaded executor the flux tasks must
-    // then run one at a time.
-    const bool serialize_flux =
-        mesh_->config().optimizeAuxMemory &&
-        mesh_->ctx().space().concurrency() > 1;
-    TaskId prev_flux = -1;
-
-    for (MeshBlock* block : mesh_->ownedBlocks()) {
-        const std::string gid = std::to_string(block->gid());
-        const BoundsTaskIds bounds = addBoundsTasks(tl, block, t_start);
-
-        std::vector<TaskId> flux_deps{bounds.set};
-        if (serialize_flux && prev_flux >= 0)
-            flux_deps.push_back(prev_flux);
-        const TaskId t_flux = tl.addTask(
-            "CalculateFluxes:" + gid,
-            [this, block] {
-                package_->calculateFluxesBlock(*mesh_, *block);
-                return TaskStatus::Complete;
-            },
-            std::move(flux_deps));
-        prev_flux = t_flux;
-
-        TaskId t_prev = t_flux;
-        if (flux_correction)
-            t_prev = addFluxCorrTasks(tl, block, {t_flux});
-        const TaskId t_div = tl.addTask(
-            "FluxDivergence:" + gid,
-            [this, block] {
-                package_->fluxDivergenceBlock(*mesh_, *block);
-                return TaskStatus::Complete;
-            },
-            {t_prev});
-        // The update rewrites the block's interior, which the block's
-        // own send task reads — the t_send edge keeps a slow pack from
-        // racing an overtaking update chain.
-        tl.addTask(
-            "WeightedSumData:" + gid,
-            [this, block, stage] {
-                stageUpdateBlock(*mesh_, *block, stage, dt_);
-                return TaskStatus::Complete;
-            },
-            {t_div, bounds.send});
-    }
-    return tl;
-}
-
-EvolutionDriver::BoundsTaskIds
-EvolutionDriver::addBoundsTasks(TaskList& tl, MeshBlock* block,
-                                TaskId t_start)
-{
-    const std::string gid = std::to_string(block->gid());
-    BoundsTaskIds ids;
-    // Sends read only the sender's interior and unpacks write only
-    // the receiver's ghosts, so SetBounds needs no edge to the
-    // block's own send task — the receive poll alone gates it.
-    ids.send = tl.addTask(
-        "SendBoundBufs:" + gid,
-        [this, block] {
-            exchange_.sendBlockBounds(*block);
-            return TaskStatus::Complete;
-        },
-        {t_start}, TaskCategory::Comm);
-    ids.poll = tl.addTask(
-        "ReceiveBoundBufs:" + gid,
-        [this, block] {
-            return exchange_.pollBlockBounds(*block)
-                       ? TaskStatus::Complete
-                       : TaskStatus::Iterate;
-        },
-        {t_start}, TaskCategory::Comm);
-    ids.set = tl.addTask(
-        "SetBounds:" + gid,
-        [this, block] {
-            exchange_.setBlockBounds(*block);
-            exchange_.applyPhysicalBoundariesBlock(*block);
-            return TaskStatus::Complete;
-        },
-        {ids.poll}, TaskCategory::Comm);
-    return ids;
-}
-
-TaskId
-EvolutionDriver::addFluxCorrTasks(TaskList& tl, MeshBlock* block,
-                                  std::vector<TaskId> deps)
-{
-    const std::string gid = std::to_string(block->gid());
-    const TaskId t_fsend = tl.addTask(
-        "FluxCorrSend:" + gid,
-        [this, block] {
-            exchange_.sendBlockFluxCorrections(*block);
-            return TaskStatus::Complete;
-        },
-        deps, TaskCategory::Comm);
-    const TaskId t_fpoll = tl.addTask(
-        "FluxCorrRecv:" + gid,
-        [this, block] {
-            return exchange_.pollBlockFluxCorrections(*block)
-                       ? TaskStatus::Complete
-                       : TaskStatus::Iterate;
-        },
-        std::move(deps), TaskCategory::Comm);
-    return tl.addTask(
-        "FluxCorrApply:" + gid,
-        [this, block] {
-            exchange_.setBlockFluxCorrections(*block);
-            return TaskStatus::Complete;
-        },
-        {t_fsend, t_fpoll}, TaskCategory::Comm);
 }
 
 RefinementFlagMap

@@ -116,9 +116,9 @@ struct CycleStats
     /**
      * Boundary messages sent this cycle (bounds + flux corrections,
      * local and remote; block migration excluded) and their modeled
-     * payload bytes. Under the fused boundary plan the message count
-     * drops from O(blocks x faces) to O(rank pairs) per phase while
-     * the bytes stay identical — the benches report both per cycle.
+     * payload bytes. The boundary plan sends O(rank pairs) messages
+     * per phase, not O(blocks x faces) — the benches report both
+     * counts per cycle.
      */
     std::uint64_t boundaryMessages = 0;
     double boundaryBytes = 0;
@@ -271,34 +271,9 @@ class EvolutionDriver
         options.costMode = config_.lbCost;
         return options;
     }
-    /** Per-stage fused path: comm task graphs + pack launches. */
+    /** Per-stage packed interior: comm task graphs + pack launches. */
     void stepPacked(bool flux_correction);
     MeshBlockPack& ensurePack();
-    /** Ids of one block's ghost-bounds task trio. */
-    struct BoundsTaskIds
-    {
-        TaskId send = -1, poll = -1, set = -1;
-    };
-    /**
-     * Add one block's send/poll/set ghost-bounds trio gated on
-     * `t_start`. Shared by the per-block stage graph and the packed
-     * bounds-only graph so the two paths cannot diverge.
-     */
-    BoundsTaskIds addBoundsTasks(TaskList& tl, MeshBlock* block,
-                                 TaskId t_start);
-    /**
-     * Add one block's flux-correction send/poll/apply trio; send and
-     * poll take `deps` (the block's flux task in graph mode, nothing
-     * in packed mode). Returns the apply task id.
-     */
-    TaskId addFluxCorrTasks(TaskList& tl, MeshBlock* block,
-                            std::vector<TaskId> deps);
-    TaskList buildStageGraph(int stage, bool flux_correction);
-    /** Ghost-bounds-only task graph (send/poll/set per block). */
-    TaskList buildBoundsGraph();
-    /** Flux-correction-only task graph (send/poll/apply per block). */
-    TaskList buildFluxCorrGraph();
-
     /** Ids of the fused (boundary-plan) ghost-bounds task chain. */
     struct FusedBoundsIds
     {
@@ -320,7 +295,7 @@ class EvolutionDriver
      * partitions -> end) -> one poll per inbound coalesced message ->
      * fused set (begin -> partitions -> end, plus the physical-boundary
      * fill). O(rank pairs) tasks per phase instead of O(blocks).
-     * Requires a current plan (the fused builders call ensureBuilt()
+     * Requires a current plan (the graph builders call ensureBuilt()
      * first, at a serial point).
      */
     FusedBoundsIds addFusedBoundsTasks(TaskList& tl);
@@ -330,12 +305,12 @@ class EvolutionDriver
      * the apply end task id.
      */
     TaskId addFusedFluxCorrTasks(TaskList& tl, std::vector<TaskId> deps);
-    /** Fused-path counterpart of buildStageGraph. */
-    TaskList buildStageGraphFused(int stage, bool flux_correction);
-    /** Fused-path counterpart of buildBoundsGraph. */
-    TaskList buildBoundsGraphFused();
-    /** Fused-path counterpart of buildFluxCorrGraph. */
-    TaskList buildFluxCorrGraphFused();
+    /** One RK stage: fused bounds, per-block interior, fused flux. */
+    TaskList buildStageGraph(int stage, bool flux_correction);
+    /** Bounds-only graph (stepPacked). */
+    TaskList buildBoundsGraph();
+    /** Flux-correction-only graph (stepPacked). */
+    TaskList buildFluxCorrGraph();
     /** Execution options for stage graphs (space + peer-wait policy). */
     TaskExecOptions stageExecOptions() const;
     /**

@@ -220,13 +220,4 @@ envNumRanks(int fallback)
     return ranks >= 1 ? ranks : fallback;
 }
 
-bool
-envFusedBoundaries(bool fallback)
-{
-    const char* value = std::getenv("VIBE_FUSED_BOUNDARIES");
-    if (!value || !*value)
-        return fallback;
-    return value[0] != '0';
-}
-
 } // namespace vibe

@@ -124,12 +124,4 @@ int envNumThreads(int fallback = 1);
  */
 int envNumRanks(int fallback = 1);
 
-/**
- * Boundary-path selection via the VIBE_FUSED_BOUNDARIES environment
- * variable ("0"/"1"), or `fallback` when unset/invalid. The CI matrix
- * uses it to run the rank-equivalence fixtures through both the fused
- * BoundaryPlan path and the per-face path.
- */
-bool envFusedBoundaries(bool fallback = true);
-
 } // namespace vibe

@@ -595,8 +595,8 @@ recordPackKernel(const ExecContext& ctx, std::string_view phase,
  * and unpack, where table rows are whole channels of varying volume):
  * per-entry item counts instead of one uniform per-block volume. The
  * launch count is 1 (it is one kernel); items are attributed per rank
- * by runs of equal rank in entry order, so per-rank load tables match
- * the per-face task path.
+ * by runs of equal rank in entry order, so per-rank load tables see
+ * each rank's share of the boundary work.
  */
 inline void
 recordPackKernelItems(const ExecContext& ctx, std::string_view phase,

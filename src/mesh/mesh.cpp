@@ -30,8 +30,6 @@ MeshConfig::fromParams(const ParameterInput& pin)
     config.useMemoryPool = pin.getBool("mesh", "use_memory_pool", true);
     config.packInterior = pin.getBool("exec", "pack_interior", false);
     config.numRanks = pin.getInt("exec", "num_ranks", 1);
-    config.fusedBoundaries =
-        pin.getBool("exec", "fused_boundaries", true);
     config.validate();
     return config;
 }

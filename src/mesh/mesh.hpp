@@ -78,16 +78,6 @@ struct MeshConfig
      * counts through the platform configuration instead.
      */
     int numRanks = 1;
-    /**
-     * Route ghost and flux-correction exchanges through the
-     * BoundaryPlan (`<exec> fused_boundaries`, default on): one fused
-     * pack/unpack kernel per phase over the plan's buffer table, run
-     * as row partitions on every worker of the rank, and one
-     * coalesced mailbox message per (src rank, dst rank) pair per
-     * phase instead of one per face. Bitwise identical to the per-face
-     * path at any thread or rank count.
-     */
-    bool fusedBoundaries = true;
 
     /** Read <mesh>/<meshblock>/<amr> sections of an input deck. */
     static MeshConfig fromParams(const ParameterInput& pin);

@@ -41,8 +41,8 @@ knownKnobs()
          {"num_levels", "derefine_gap", "refine_every", "lb_every",
           "lb_cost", "lb_imbalance_trigger"}},
         {"exec",
-         {"num_threads", "pack_interior", "num_ranks",
-          "fused_boundaries", "fail_rank", "fail_cycle"}},
+         {"num_threads", "pack_interior", "num_ranks", "fail_rank",
+          "fail_cycle"}},
         {"driver",
          {"ncycles", "tlim", "fixed_dt", "checkpoint_every",
           "checkpoint_path", "checkpoint_async"}},

@@ -9,10 +9,6 @@
  * block migrations at the per-cycle load balance — so every run
  * exercises cache rebuilds, plan invalidation, and true storage
  * movement, not just steady-state exchange.
- *
- * The boundary path defaults to the CI matrix's VIBE_FUSED_BOUNDARIES
- * (fused when unset); tests that sweep per-face vs fused pass the
- * knob explicitly.
  */
 #pragma once
 
@@ -38,7 +34,7 @@ namespace shard_test {
 
 inline MeshConfig
 shardMeshConfig(int num_ranks, int num_threads, bool pack_interior,
-                bool fused = envFusedBoundaries(true), int amr_levels = 2)
+                int amr_levels = 2)
 {
     MeshConfig config;
     config.nx1 = config.nx2 = config.nx3 = 16;
@@ -47,7 +43,6 @@ shardMeshConfig(int num_ranks, int num_threads, bool pack_interior,
     config.numThreads = num_threads;
     config.numRanks = num_ranks;
     config.packInterior = pack_interior;
-    config.fusedBoundaries = fused;
     return config;
 }
 
@@ -69,8 +64,8 @@ shardDriverConfig(int lb_every = 1)
     config.ncycles = 8;
     config.derefineGap = 2;
     config.lbEvery = lb_every;
-    // Like the boundary path, the cost source sweeps with the CI
-    // matrix: mesh state must be bitwise identical either way.
+    // The cost source sweeps with the CI matrix: mesh state must be
+    // bitwise identical either way.
     config.lbCost = envLbCostMode(LbCostMode::Uniform);
     return config;
 }
@@ -124,7 +119,7 @@ captureBlock(const MeshBlock& block, ShardRun* out)
 inline ShardRun
 runClassic(const std::string& package_name, int num_threads,
            int lb_every = 1, bool pack_interior = false,
-           bool fused = envFusedBoundaries(true), int amr_levels = 2)
+           int amr_levels = 2)
 {
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
@@ -133,7 +128,7 @@ runClassic(const std::string& package_name, int num_threads,
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(num_threads));
     Mesh mesh(
-        shardMeshConfig(1, num_threads, pack_interior, fused, amr_levels),
+        shardMeshConfig(1, num_threads, pack_interior, amr_levels),
         registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
@@ -154,12 +149,12 @@ runClassic(const std::string& package_name, int num_threads,
 inline ShardRun
 runTeam(const std::string& package_name, int num_ranks, int num_threads,
         int lb_every = 1, bool pack_interior = false,
-        bool fused = envFusedBoundaries(true), int amr_levels = 2)
+        int amr_levels = 2)
 {
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
     RankTeam team(
-        shardMeshConfig(num_ranks, num_threads, pack_interior, fused,
+        shardMeshConfig(num_ranks, num_threads, pack_interior,
                         amr_levels),
         registry, *package, shardDriverConfig(lb_every), [](int) {
             return std::make_unique<SphericalWaveTagger>(

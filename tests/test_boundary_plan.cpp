@@ -11,10 +11,12 @@
  * - Elision: rank pairs that share no boundary get no PlanMessage at
  *   all; the offset directory of a real message tiles its payload
  *   exactly.
- * - Equivalence: the fused path is bitwise identical to the per-face
- *   path for both physics packages across 1/2/4 threads and 1/2/4
- *   ranks, through mid-run remeshes and real storage migrations, and
- *   on a 3-level mesh whose ghosts prolongate across two level jumps.
+ * - Equivalence: rank-sharded runs are bitwise identical to the
+ *   classic run at the same thread count for both physics packages
+ *   across 1/2/4 threads and 2/4 ranks, through mid-run remeshes and
+ *   real storage migrations, and on a 3-level mesh whose ghosts
+ *   prolongate across two level jumps. The per-channel oracle in
+ *   test_fused_exchange.cpp pins the classic exchange itself.
  */
 #include <gtest/gtest.h>
 
@@ -104,8 +106,7 @@ TEST(BoundaryPlanLifecycle, DriverKeepsPlanInLockstepThroughRemesh)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(1));
-    Mesh mesh(shardMeshConfig(1, 1, false, /*fused=*/true), registry,
-              ctx);
+    Mesh mesh(shardMeshConfig(1, 1, false), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     EvolutionDriver driver(mesh, *package, world, tagger,
@@ -198,68 +199,54 @@ TEST(BoundaryPlanDirectory, NonAdjacentRankPairsAreElided)
     EXPECT_EQ(fx.plan.recvIds(PlanPhase::Bounds, 2).size(), 2u);
 }
 
-// --- Fused vs per-face bitwise equivalence ----------------------------
+// --- Rank-sharded vs classic bitwise equivalence ---------------------
 
 class FusedBoundaryEquivalence
     : public ::testing::TestWithParam<const char*>
 {
 };
 
-TEST_P(FusedBoundaryEquivalence, FusedMatchesPerFaceBitwise)
+TEST_P(FusedBoundaryEquivalence, TeamMatchesClassicBitwise)
 {
     const std::string package = GetParam();
-    // The per-face baseline is per thread count (mass partials are
-    // chunk-ordered sums, deterministic for a fixed thread count);
-    // the fused path — classic and rank-sharded — must add no
-    // difference on top of it.
+    // The classic baseline is per thread count (mass partials are
+    // chunk-ordered sums, deterministic for a fixed thread count); the
+    // rank-sharded plan, with its cross-rank coalesced messages, must
+    // add no difference on top of it.
     for (int threads : {1, 2, 4}) {
-        const ShardRun per_face =
-            runClassic(package, threads, 1, false, /*fused=*/false);
-        EXPECT_GT(per_face.remeshEvents, 0)
+        const ShardRun classic = runClassic(package, threads);
+        EXPECT_GT(classic.remeshEvents, 0)
             << "workload must remesh mid-run";
-
-        const ShardRun fused =
-            runClassic(package, threads, 1, false, /*fused=*/true);
-        expectBitwiseEqual(per_face, fused,
-                           package + " fused classic @" +
-                               std::to_string(threads) + " threads");
-
         for (int ranks : {2, 4}) {
-            const ShardRun team = runTeam(package, ranks, threads, 1,
-                                          false, /*fused=*/true);
+            const ShardRun team = runTeam(package, ranks, threads);
             // The runs must exercise the real machinery: remesh-driven
             // plan rebuilds and true storage migration.
             EXPECT_GT(team.remeshEvents, 0);
             EXPECT_GT(team.movedBlocks, 0);
-            expectBitwiseEqual(per_face, team,
-                               package + " fused @" +
-                                   std::to_string(ranks) + " ranks x " +
+            expectBitwiseEqual(classic, team,
+                               package + " @" + std::to_string(ranks) +
+                                   " ranks x " +
                                    std::to_string(threads) +
-                                   " threads vs per-face classic");
+                                   " threads vs classic");
         }
     }
 }
 
-TEST_P(FusedBoundaryEquivalence, ThreeLevelFusedMatchesPerFaceBitwise)
+TEST_P(FusedBoundaryEquivalence, ThreeLevelTeamMatchesClassicBitwise)
 {
     // Three AMR levels: fine ghosts are prolongated across two level
-    // jumps (0 -> 1 and 1 -> 2), all inside the partitioned fused set
-    // tasks, which must still match the per-face path bit for bit.
+    // jumps (0 -> 1 and 1 -> 2), all inside the partitioned set tasks,
+    // and the 2-rank run must still match the classic one bit for bit.
     const std::string package = GetParam();
     for (int threads : {1, 2, 4}) {
-        const ShardRun per_face = runClassic(package, threads, 1, false,
-                                             /*fused=*/false, 3);
-        EXPECT_EQ(per_face.maxLevel, 2) << "workload must reach level 2";
-        EXPECT_GT(per_face.remeshEvents, 0);
-        const std::string at = " @" + std::to_string(threads) + " threads";
-        expectBitwiseEqual(
-            per_face,
-            runClassic(package, threads, 1, false, /*fused=*/true, 3),
-            package + " 3-level fused classic" + at);
-        expectBitwiseEqual(
-            per_face,
-            runTeam(package, 2, threads, 1, false, /*fused=*/true, 3),
-            package + " 3-level fused @2 ranks" + at);
+        const ShardRun classic =
+            runClassic(package, threads, 1, false, 3);
+        EXPECT_EQ(classic.maxLevel, 2) << "workload must reach level 2";
+        EXPECT_GT(classic.remeshEvents, 0);
+        expectBitwiseEqual(classic,
+                           runTeam(package, 2, threads, 1, false, 3),
+                           package + " 3-level @2 ranks x " +
+                               std::to_string(threads) + " threads");
     }
 }
 

@@ -456,19 +456,30 @@ TEST(FluxCorrection, CoarseFaceFluxBecomesFineAverage)
     }
 }
 
+/** Run the three steps of a fused send of `phase`, serially. */
+void
+sendFused(GhostExchange& exchange, PlanPhase phase)
+{
+    exchange.beginFusedSend(phase);
+    for (int p = 0; p < GhostExchange::kFusedPartitions; ++p)
+        exchange.packFusedPartition(phase, p);
+    exchange.endFusedSend(phase);
+}
+
 TEST(GhostExchange, AbandonedCycleDoesNotLeavePhantomMessages)
 {
-    // Regression: per-cycle state (pending receives, wire counter,
-    // undelivered mailbox entries) is reset at the top of
-    // StartReceiveBoundBufs. Abandon a cycle right after its sends —
+    // Regression: per-cycle state (wire counter, undelivered mailbox
+    // entries) is reset at the top of StartReceiveBoundBufs. Abandon a
+    // cycle right after its sends —
     // exactly the state an exception thrown mid-cycle leaves behind —
     // and the next full exchange must neither wait on phantom
     // messages nor deliver the stale ones.
     CommFixture f(16, 8, 1, ExecMode::Execute);
     fillInterior(*f.mesh);
 
+    f.exchange->plan().ensureBuilt();
     f.exchange->startReceiveBoundBufs();
-    f.exchange->sendBoundBufs();
+    sendFused(*f.exchange, PlanPhase::Bounds);
     ASSERT_GT(f.world->pendingCount(), 0u); // the abandoned deliveries
 
     // Perturb the field so stale buffers are distinguishable from
@@ -519,8 +530,8 @@ TEST(FluxCorrection, ConservationHoldsOnSerialAndThreadPoolSpaces)
         // Regression: abandon a flux-correction send mid-cycle; the
         // next cycle's reset must also drop stale *flux* messages, not
         // just bounds buffers.
-        for (const auto& block : f.mesh->blocks())
-            f.exchange->sendBlockFluxCorrections(*block);
+        f.exchange->plan().ensureBuilt();
+        sendFused(*f.exchange, PlanPhase::Flux);
         ASSERT_GT(f.world->pendingCount(), 0u);
         f.exchange->startReceiveBoundBufs();
         ASSERT_EQ(f.world->pendingCount(), 0u);
@@ -577,42 +588,6 @@ TEST(FluxCorrection, ConservationHoldsOnSerialAndThreadPoolSpaces)
                                 << K << ")";
                         }
         }
-    }
-}
-
-TEST(GhostExchange, PerBlockFactoriesMatchMonolithicCycle)
-{
-    // The task-graph factories (sendBlockBounds / pollBlockBounds /
-    // setBlockBounds) must reproduce the monolithic 4-phase cycle
-    // bit for bit when driven in the same order.
-    CommFixture mono(16, 8, 1, ExecMode::Execute, 1, false, 1);
-    CommFixture split(16, 8, 1, ExecMode::Execute, 1, false, 1);
-    fillInterior(*mono.mesh);
-    fillInterior(*split.mesh);
-
-    mono.exchange->exchangeBounds();
-
-    split.exchange->startReceiveBoundBufs();
-    for (const auto& block : split.mesh->blocks())
-        split.exchange->sendBlockBounds(*block);
-    for (const auto& block : split.mesh->blocks())
-        EXPECT_TRUE(split.exchange->pollBlockBounds(*block));
-    for (const auto& block : split.mesh->blocks())
-        split.exchange->setBlockBounds(*block);
-
-    EXPECT_EQ(split.exchange->lastWireCells(),
-              mono.exchange->lastWireCells());
-    EXPECT_EQ(split.world->pendingCount(), 0u);
-    const auto& mono_blocks = mono.mesh->blocks();
-    const auto& split_blocks = split.mesh->blocks();
-    ASSERT_EQ(mono_blocks.size(), split_blocks.size());
-    for (std::size_t b = 0; b < mono_blocks.size(); ++b) {
-        const RealArray4& x = mono_blocks[b]->cons();
-        const RealArray4& y = split_blocks[b]->cons();
-        ASSERT_EQ(x.size(), y.size());
-        for (std::size_t v = 0; v < x.size(); ++v)
-            ASSERT_EQ(x.data()[v], y.data()[v])
-                << mono_blocks[b]->loc().str();
     }
 }
 

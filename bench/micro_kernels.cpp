@@ -1,11 +1,16 @@
 /**
  * @file micro_kernels.cpp
  * google-benchmark microbenchmarks of the numerical and structural
- * hot paths: WENO5/PLM reconstruction, the HLL solver, RK2 weighted
- * sums, ghost pack/unpack (uniform and across AMR levels), Morton
- * keys, tree neighbor walks and buffer-cache rebuilds.
+ * hot paths: WENO5/PLM reconstruction, the HLL pencil, the full
+ * CalculateFluxes row kernel against a memcpy ceiling of the same
+ * modeled bytes, RK2 weighted sums, ghost pack/unpack (uniform and
+ * across AMR levels), Morton keys, tree neighbor walks and
+ * buffer-cache rebuilds.
  */
 #include <benchmark/benchmark.h>
+
+#include <cstring>
+#include <vector>
 
 #include "comm/boundary_buffers.hpp"
 #include "comm/ghost_exchange.hpp"
@@ -43,19 +48,23 @@ BM_PlmFace(benchmark::State& state)
 }
 BENCHMARK(BM_PlmFace);
 
+/** HLL over one pencil of 17 faces (a 16^3 block's x sweep). */
 void
-BM_HllFlux(benchmark::State& state)
+BM_HllPencil(benchmark::State& state)
 {
     const int ncomp = static_cast<int>(state.range(0));
-    std::vector<double> ul(ncomp, 0.5), ur(ncomp, -0.2), f(ncomp);
+    constexpr int nface = 17;
+    std::vector<double> l(ncomp * nface, 0.5), r(ncomp * nface, -0.2),
+        f(ncomp * nface);
     for (auto _ : state) {
-        hllFlux(ul.data(), ur.data(), 0, ncomp, f.data());
+        hllPencil(l.data(), r.data(), nface, 0, ncomp, f.data(), nface);
         benchmark::DoNotOptimize(f.data());
-        ul[0] += 1e-9;
+        benchmark::ClobberMemory();
+        l[0] += 1e-9;
     }
-    state.SetItemsProcessed(state.iterations() * ncomp);
+    state.SetItemsProcessed(state.iterations() * ncomp * nface);
 }
-BENCHMARK(BM_HllFlux)->Arg(4)->Arg(11);
+BENCHMARK(BM_HllPencil)->Arg(4)->Arg(11);
 
 void
 BM_MortonKey(benchmark::State& state)
@@ -68,7 +77,40 @@ BM_MortonKey(benchmark::State& state)
 }
 BENCHMARK(BM_MortonKey);
 
-/** One full CalculateFluxes sweep over a block (per block size). */
+/** One-block mesh of `block`^3 cells (non-periodic: a periodic mesh
+ *  needs at least two blocks per dimension). */
+MeshConfig
+oneBlockConfig(int block)
+{
+    MeshConfig config;
+    config.nx1 = config.nx2 = config.nx3 = block;
+    config.blockNx1 = config.blockNx2 = config.blockNx3 = block;
+    config.amrLevels = 1;
+    config.periodic = false;
+    return config;
+}
+
+/** Profiler-modeled DRAM bytes of one CalculateFluxes sweep over a
+ *  `block`^3 block (counting mode: nothing executes). */
+std::int64_t
+modeledFluxBytes(int block)
+{
+    KernelProfiler profiler;
+    MemoryTracker tracker;
+    auto registry = makeBurgersRegistry(8);
+    ExecContext ctx(ExecMode::Count, &profiler, &tracker);
+    Mesh mesh(oneBlockConfig(block), registry, ctx);
+    BurgersPackage package{BurgersConfig{}};
+    package.calculateFluxes(mesh);
+    return static_cast<std::int64_t>(
+        profiler.kernelByName("CalculateFluxes").bytes);
+}
+
+/**
+ * One full CalculateFluxes sweep over a block (per block size). Bytes
+ * are the profiler's modeled bytes, so bytes/s reads against
+ * BM_MemcpyCeiling at the same size.
+ */
 void
 BM_CalculateFluxesBlock(benchmark::State& state)
 {
@@ -77,18 +119,36 @@ BM_CalculateFluxesBlock(benchmark::State& state)
     MemoryTracker tracker;
     auto registry = makeBurgersRegistry(8);
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker);
-    MeshConfig config;
-    config.nx1 = config.nx2 = config.nx3 = block;
-    config.blockNx1 = config.blockNx2 = config.blockNx3 = block;
-    config.amrLevels = 1;
-    Mesh mesh(config, registry, ctx);
+    Mesh mesh(oneBlockConfig(block), registry, ctx);
     BurgersPackage package{BurgersConfig{}};
     package.initialize(mesh, InitialCondition::Sine);
     for (auto _ : state)
         package.calculateFluxes(mesh);
     state.SetItemsProcessed(state.iterations() * block * block * block);
+    state.SetBytesProcessed(state.iterations() * modeledFluxBytes(block));
 }
 BENCHMARK(BM_CalculateFluxesBlock)->Arg(8)->Arg(16)->Arg(32);
+
+/**
+ * memcpy of the bytes BM_CalculateFluxesBlock models for the same
+ * block size: the measured ceiling its bytes/s reads against.
+ */
+void
+BM_MemcpyCeiling(benchmark::State& state)
+{
+    const std::int64_t bytes =
+        modeledFluxBytes(static_cast<int>(state.range(0)));
+    std::vector<char> src(static_cast<std::size_t>(bytes), 1);
+    std::vector<char> dst(static_cast<std::size_t>(bytes));
+    for (auto _ : state) {
+        std::memcpy(dst.data(), src.data(), dst.size());
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+        src[0] = static_cast<char>(src[0] + 1);
+    }
+    state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_MemcpyCeiling)->Arg(8)->Arg(16)->Arg(32);
 
 void
 BM_Rk2Stage(benchmark::State& state)

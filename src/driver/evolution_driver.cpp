@@ -782,27 +782,17 @@ EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
     tl.setLabel("plan:bounds+flux stage " + std::to_string(stage));
     const FusedBoundsIds bounds = addFusedBoundsTasks(tl);
 
-    const bool serialize_flux =
-        mesh_->config().optimizeAuxMemory &&
-        mesh_->ctx().space().concurrency() > 1;
-    TaskId prev_flux = -1;
-
     const std::vector<MeshBlock*>& owned = mesh_->ownedBlocks();
     std::vector<TaskId> flux_tasks;
     flux_tasks.reserve(owned.size());
     for (MeshBlock* block : owned) {
-        std::vector<TaskId> flux_deps{bounds.set};
-        if (serialize_flux && prev_flux >= 0)
-            flux_deps.push_back(prev_flux);
-        const TaskId t_flux = tl.addTask(
+        flux_tasks.push_back(tl.addTask(
             "CalculateFluxes:" + std::to_string(block->gid()),
             [this, block] {
                 package_->calculateFluxesBlock(*mesh_, *block);
                 return TaskStatus::Complete;
             },
-            std::move(flux_deps));
-        prev_flux = t_flux;
-        flux_tasks.push_back(t_flux);
+            {bounds.set}));
     }
 
     // The fused correction gates every divergence: corrections only

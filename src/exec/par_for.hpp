@@ -81,7 +81,7 @@ struct Launch3
 {
     F& body;
     std::int64_t nj;
-    int kl, jl, il, iu;
+    int kl, jl;
 };
 
 template <typename F>
@@ -128,6 +128,42 @@ parForExec(const ExecContext& ctx, int il, int iu, F&& body)
         &launch);
 }
 
+/** Chunked rows over one block: body(chunk, k, j) writes the i loop.
+ *  Execute-only companion of parForExec for kernels that hoist
+ *  per-chunk scratch to launch setup (one resize per launch, not one
+ *  size check per cell). */
+template <typename F>
+void
+parForExecRows(const ExecContext& ctx, int kl, int ku, int jl, int ju,
+               F&& body)
+{
+    if (!ctx.executing() || ku < kl || ju < jl)
+        return;
+    ExecutionSpace& space = ctx.space();
+    const std::int64_t nk = static_cast<std::int64_t>(ku) - kl + 1;
+    const std::int64_t nj = static_cast<std::int64_t>(ju) - jl + 1;
+    if (space.concurrency() == 1 || nk * nj <= 1) {
+        for (int k = kl; k <= ku; ++k)
+            for (int j = jl; j <= ju; ++j)
+                body(0, k, j);
+        return;
+    }
+    detail::Launch3<F> launch{body, nj, kl, jl};
+    space.forEachChunk(
+        nk * nj,
+        [](void* p, std::int64_t begin, std::int64_t end, int chunk) {
+            auto* launch = static_cast<detail::Launch3<F>*>(p);
+            for (std::int64_t idx = begin; idx < end; ++idx) {
+                const int k =
+                    launch->kl + static_cast<int>(idx / launch->nj);
+                const int j =
+                    launch->jl + static_cast<int>(idx % launch->nj);
+                launch->body(chunk, k, j);
+            }
+        },
+        &launch);
+}
+
 /**
  * Execute-only 3-D loop over [kl,ku] x [jl,ju] x [il,iu]; the (k, j)
  * plane is flattened and chunked, the contiguous i loop stays inside
@@ -138,33 +174,12 @@ void
 parForExec(const ExecContext& ctx, int kl, int ku, int jl, int ju, int il,
            int iu, F&& body)
 {
-    if (!ctx.executing() || ku < kl || ju < jl || iu < il)
+    if (iu < il)
         return;
-    ExecutionSpace& space = ctx.space();
-    const std::int64_t nk = static_cast<std::int64_t>(ku) - kl + 1;
-    const std::int64_t nj = static_cast<std::int64_t>(ju) - jl + 1;
-    if (space.concurrency() == 1 || nk * nj <= 1) {
-        for (int k = kl; k <= ku; ++k)
-            for (int j = jl; j <= ju; ++j)
-                for (int i = il; i <= iu; ++i)
-                    body(k, j, i);
-        return;
-    }
-    detail::Launch3<F> launch{body, nj, kl, jl, il, iu};
-    space.forEachChunk(
-        nk * nj,
-        [](void* p, std::int64_t begin, std::int64_t end, int) {
-            auto* launch = static_cast<detail::Launch3<F>*>(p);
-            for (std::int64_t idx = begin; idx < end; ++idx) {
-                const int k =
-                    launch->kl + static_cast<int>(idx / launch->nj);
-                const int j =
-                    launch->jl + static_cast<int>(idx % launch->nj);
-                for (int i = launch->il; i <= launch->iu; ++i)
-                    launch->body(k, j, i);
-            }
-        },
-        &launch);
+    parForExecRows(ctx, kl, ku, jl, ju, [&](int, int k, int j) {
+        for (int i = il; i <= iu; ++i)
+            body(k, j, i);
+    });
 }
 
 /**
@@ -237,12 +252,18 @@ parFor(const ExecContext& ctx, std::string_view name,
     parForExec(ctx, il, iu, static_cast<F&&>(body));
 }
 
-/** 3-D named kernel over [kl,ku] x [jl,ju] x [il,iu], innermost i. */
+/**
+ * 3-D named kernel whose body owns the contiguous i loop: body(k, j)
+ * writes the whole [il, iu] row, so it can run component-outer,
+ * unit-stride-i loops. The (k, j) plane is chunked; the launch is
+ * recorded as [kl,ku] x [jl,ju] x [il,iu] items with innermost extent
+ * iu - il + 1. The per-cell 3-D parFor is this with an i loop.
+ */
 template <typename F>
 void
-parFor(const ExecContext& ctx, std::string_view name,
-       const KernelCosts& costs, int kl, int ku, int jl, int ju, int il,
-       int iu, F&& body)
+parForRows(const ExecContext& ctx, std::string_view name,
+           const KernelCosts& costs, int kl, int ku, int jl, int ju,
+           int il, int iu, F&& body)
 {
     const double nk = ku >= kl ? static_cast<double>(ku - kl + 1) : 0.0;
     const double nj = ju >= jl ? static_cast<double>(ju - jl + 1) : 0.0;
@@ -254,7 +275,24 @@ parFor(const ExecContext& ctx, std::string_view name,
                                 items * costs.bytesPerItem, ni});
     }
     TraceSpan trace(name, TraceCat::Kernel, ctx.currentRank());
-    parForExec(ctx, kl, ku, jl, ju, il, iu, static_cast<F&&>(body));
+    if (iu < il)
+        return;
+    parForExecRows(ctx, kl, ku, jl, ju,
+                   [&](int, int k, int j) { body(k, j); });
+}
+
+/** 3-D named kernel over [kl,ku] x [jl,ju] x [il,iu], innermost i. */
+template <typename F>
+void
+parFor(const ExecContext& ctx, std::string_view name,
+       const KernelCosts& costs, int kl, int ku, int jl, int ju, int il,
+       int iu, F&& body)
+{
+    parForRows(ctx, name, costs, kl, ku, jl, ju, il, iu,
+               [&](int k, int j) {
+                   for (int i = il; i <= iu; ++i)
+                       body(k, j, i);
+               });
 }
 
 /** 4-D named kernel with a leading variable index [nl,nu]. */
@@ -414,12 +452,13 @@ recordSerialAt(const ExecContext& ctx, std::string_view phase, int rank,
         ctx.profiler()->recordSerial({phase, category, rank, items});
 }
 
-/** 3-D named kernel with explicit phase and rank attribution. */
+/** parForRows with explicit phase and rank attribution (parForAt is
+ *  this with an i loop). */
 template <typename F>
 void
-parForAt(const ExecContext& ctx, std::string_view phase, int rank,
-         std::string_view name, const KernelCosts& costs, int kl, int ku,
-         int jl, int ju, int il, int iu, F&& body)
+parForRowsAt(const ExecContext& ctx, std::string_view phase, int rank,
+             std::string_view name, const KernelCosts& costs, int kl,
+             int ku, int jl, int ju, int il, int iu, F&& body)
 {
     const double nk = ku >= kl ? static_cast<double>(ku - kl + 1) : 0.0;
     const double nj = ju >= jl ? static_cast<double>(ju - jl + 1) : 0.0;
@@ -431,7 +470,24 @@ parForAt(const ExecContext& ctx, std::string_view phase, int rank,
                                 items * costs.bytesPerItem, ni});
     }
     TraceSpan trace(name, TraceCat::Kernel, rank, -1, phase);
-    parForExec(ctx, kl, ku, jl, ju, il, iu, static_cast<F&&>(body));
+    if (iu < il)
+        return;
+    parForExecRows(ctx, kl, ku, jl, ju,
+                   [&](int, int k, int j) { body(k, j); });
+}
+
+/** 3-D named kernel with explicit phase and rank attribution. */
+template <typename F>
+void
+parForAt(const ExecContext& ctx, std::string_view phase, int rank,
+         std::string_view name, const KernelCosts& costs, int kl, int ku,
+         int jl, int ju, int il, int iu, F&& body)
+{
+    parForRowsAt(ctx, phase, rank, name, costs, kl, ku, jl, ju, il, iu,
+                 [&](int k, int j) {
+                     for (int i = il; i <= iu; ++i)
+                         body(k, j, i);
+                 });
 }
 
 // ---------------------------------------------------------------------
@@ -454,42 +510,6 @@ parForAt(const ExecContext& ctx, std::string_view phase, int rank,
 // compute each cell independently, so pack launches are bit-identical
 // to per-block launches on every backend.
 // ---------------------------------------------------------------------
-
-/** Chunked rows over one block: body(chunk, k, j) writes the i loop.
- *  Execute-only companion of parForExec for kernels that hoist
- *  per-chunk scratch to launch setup (one resize per launch, not one
- *  size check per cell). */
-template <typename F>
-void
-parForExecRows(const ExecContext& ctx, int kl, int ku, int jl, int ju,
-               F&& body)
-{
-    if (!ctx.executing() || ku < kl || ju < jl)
-        return;
-    ExecutionSpace& space = ctx.space();
-    const std::int64_t nk = static_cast<std::int64_t>(ku) - kl + 1;
-    const std::int64_t nj = static_cast<std::int64_t>(ju) - jl + 1;
-    if (space.concurrency() == 1 || nk * nj <= 1) {
-        for (int k = kl; k <= ku; ++k)
-            for (int j = jl; j <= ju; ++j)
-                body(0, k, j);
-        return;
-    }
-    detail::Launch3<F> launch{body, nj, kl, jl, 0, 0};
-    space.forEachChunk(
-        nk * nj,
-        [](void* p, std::int64_t begin, std::int64_t end, int chunk) {
-            auto* launch = static_cast<detail::Launch3<F>*>(p);
-            for (std::int64_t idx = begin; idx < end; ++idx) {
-                const int k =
-                    launch->kl + static_cast<int>(idx / launch->nj);
-                const int j =
-                    launch->jl + static_cast<int>(idx % launch->nj);
-                launch->body(chunk, k, j);
-            }
-        },
-        &launch);
-}
 
 namespace detail {
 

@@ -25,11 +25,8 @@ MeshBlockPack::rebuild(Mesh& mesh)
         view.cons0 = &block->cons0();
         view.dudt = &block->dudt();
         view.derived = &block->derived();
-        for (int d = 0; d < 3; ++d) {
+        for (int d = 0; d < 3; ++d)
             view.flux[d] = &block->flux(d);
-            view.reconL[d] = block->reconL(d);
-            view.reconR[d] = block->reconR(d);
-        }
         const BlockGeometry& geom = block->geom();
         view.dx1 = geom.dx1;
         view.dx2 = geom.dx2;

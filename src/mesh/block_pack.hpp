@@ -37,8 +37,6 @@ struct BlockPackView
     RealArray4* dudt = nullptr;
     RealArray4* derived = nullptr;
     RealArray4* flux[3] = {nullptr, nullptr, nullptr};
-    RealArray4* reconL[3] = {nullptr, nullptr, nullptr};
-    RealArray4* reconR[3] = {nullptr, nullptr, nullptr};
     double dx1 = 1, dx2 = 1, dx3 = 1;
     /** 1/dx per dim, precomputed at rebuild exactly as the per-block
      *  divergence kernel computes it (bit-identical divides). */

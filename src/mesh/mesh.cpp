@@ -123,9 +123,11 @@ Mesh::Mesh(const MeshConfig& config, const VariableRegistry& registry,
 
     if (config_.optimizeAuxMemory) {
         // §VIII-B: one shared reconstruction scratch instead of
-        // per-block copies. Physically we keep one full-block scratch
-        // (blocks are processed one at a time); the modeled device
-        // footprint is the per-thread-block slab formula.
+        // per-block copies. Physically we keep one full-block scratch;
+        // the flux kernels reconstruct in per-chunk pencil scratch and
+        // never touch it, so lending it to every block cannot race.
+        // The modeled device footprint is the per-thread-block slab
+        // formula.
         const BlockShape shape = config_.blockShape();
         const int ncons = registry_->ncompConserved();
         if (ctx_->executing()) {

@@ -212,7 +212,9 @@ class MeshBlock
     /**
      * Face-reconstruction scratch (left/right states in direction `d`).
      * Either owned (per-block, the unoptimized layout) or lent by the
-     * Mesh (the §VIII-B optimized layout). Null in Virtual mode.
+     * Mesh (the §VIII-B optimized layout). Null in Virtual mode. Kept
+     * for the footprint the §VIII-B figures model; the flux kernels
+     * reconstruct in per-chunk pencil scratch instead.
      */
     RealArray4* reconL(int d) { return recon_l_[d]; }
     RealArray4* reconR(int d) { return recon_r_[d]; }

@@ -8,8 +8,9 @@
  *   e = 0.5 phi^2               (derived "energy" density),
  *
  * discretized with the same Godunov machinery as Burgers — WENO5/PLM
- * reconstruction through the shared reconRow stencil kernel — but with
- * the exact upwind flux (the Riemann solution of a linear equation).
+ * reconstruction through the shared reconPencil stencil kernel — but
+ * with the exact upwind flux (the Riemann solution of a linear
+ * equation, pkg/fv_ops.hpp's upwindFluxRow, shared with reaction).
  * Because v is constant the solution is the initial profile translated
  * rigidly, phi(x, t) = phi0(x - v t) with periodic wrap, so tests can
  * compare a full AMR run (ghost exchange, flux correction, mid-run
@@ -105,11 +106,7 @@ class AdvectionPackage : public PackageDescriptor
     void calculateFluxesBlock(Mesh& mesh,
                               MeshBlock& block) const override;
 
-    /**
-     * Fused-pack reconstruction + upwind fluxes; falls back to the
-     * serial per-block sweep under shared recon scratch, like every
-     * package must.
-     */
+    /** Fused-pack reconstruction + upwind fluxes (same row kernel). */
     void calculateFluxesPack(Mesh& mesh,
                              MeshBlockPack& pack) const override;
 

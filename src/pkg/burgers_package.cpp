@@ -13,28 +13,67 @@ namespace vibe {
 
 namespace {
 
-// reconRow (the shared stencil kernel) lives in solver/reconstruct.hpp
-// so every package reconstructs through the same definition.
-
 /**
- * HLL-solve one (k, j) row of faces [fis, fie] into the flux array.
- * ul/ur/f are the caller's ncomp-sized per-chunk scratch slices.
- * Shared by the per-block and pack launch bodies.
+ * WENO5/PLM + HLL fluxes for one (k, j) row of faces [fis, fie] in
+ * direction d, in one pass: every component's left and right states
+ * are reconstructed into `scratch` (component-major, 2 * ncomp * nface
+ * doubles — a few KB, so it stays in L1), then the HLL pencil solves
+ * the row one component at a time into flux(m, k, j, fis..fie). Shared
+ * by the per-block and pack launch bodies.
  */
 inline void
-hllRow(const RealArray4& rl, const RealArray4& rr, RealArray4& flux,
-       int d, int ncomp, int k, int j, int fis, int fie, double* ul,
-       double* ur, double* f)
+hllFluxRow(const RealArray4& cons, RealArray4& flux, ReconMethod recon,
+           int d, int ncomp, int k, int j, int fis, int fie,
+           double* scratch)
 {
-    for (int i = fis; i <= fie; ++i) {
-        for (int n = 0; n < ncomp; ++n) {
-            ul[n] = rl(n, k, j, i);
-            ur[n] = rr(n, k, j, i);
-        }
-        hllFlux(ul, ur, d, ncomp, f);
-        for (int n = 0; n < ncomp; ++n)
-            flux(n, k, j, i) = f[n];
+    const int nface = fie - fis + 1;
+    const std::ptrdiff_t stride = stencilStride(cons, d);
+    double* const l = scratch;
+    double* const r = scratch + static_cast<std::ptrdiff_t>(ncomp) * nface;
+    for (int n = 0; n < ncomp; ++n) {
+        const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(n) * nface;
+        reconPencil(&cons(n, k, j, fis), stride, nface, recon, l + off,
+                    r + off);
     }
+    hllPencil(l, r, nface, d, ncomp, &flux(0, k, j, fis),
+              componentStride(flux));
+}
+
+/**
+ * Per-chunk pencil scratch for one flux launch: one 2 * ncomp * nface
+ * slice per execution-space chunk, sized once at launch setup
+ * (grow-only, so steady state allocates nothing); the row body indexes
+ * it by chunk id. Concurrent per-block flux tasks each run on their
+ * own thread and so get their own buffer; chunks of a top-level launch
+ * index disjoint slices of the launching thread's buffer, which
+ * outlives the synchronous launch. Returned as a plain pointer:
+ * thread_locals are not captured by lambdas, so a pool worker running
+ * a chunk would otherwise resolve the buffer to its own (unsized)
+ * instance.
+ */
+double*
+pencilScratch(const ExecContext& ctx, std::size_t per_chunk)
+{
+    static thread_local std::vector<double> scratch;
+    const std::size_t need =
+        static_cast<std::size_t>(ctx.space().concurrency()) * per_chunk;
+    if (scratch.size() < need)
+        scratch.resize(need);
+    return scratch.data();
+}
+
+/** Per-cell costs of the Burgers CalculateFluxes kernel. */
+KernelCosts
+hllFluxCosts(ReconMethod recon, int ndim, int ncomp)
+{
+    const double recon_flops =
+        recon == ReconMethod::Weno5 ? kWeno5Flops : kPlmFlops;
+    // Per interior cell: for each direction, ~1 face: two reconstructed
+    // states and one HLL flux per component.
+    return {ndim * ncomp * (2 * recon_flops + kHllFlopsPerComp),
+            // Effective DRAM traffic: state read + recon write x2 + flux
+            // write per direction (stencil reuse hits cache).
+            ndim * ncomp * 4.0 * sizeof(double)};
 }
 
 } // namespace
@@ -162,75 +201,29 @@ BurgersPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
     const ExecContext& ctx = mesh.ctx();
     const BlockShape s = mesh.config().blockShape();
     const int ncomp = mesh.registry().ncompConserved();
-    const int ndim = s.ndim;
-    const double recon_flops =
-        config_.recon == ReconMethod::Weno5 ? kWeno5Flops : kPlmFlops;
-    // Per interior cell: for each direction, ~1 face: two reconstructed
-    // states and one HLL flux per component.
-    const KernelCosts costs{
-        ndim * ncomp * (2 * recon_flops + kHllFlopsPerComp),
-        // Effective DRAM traffic: state read + recon write x2 + flux
-        // write per direction (stencil reuse hits cache).
-        ndim * ncomp * 4.0 * sizeof(double)};
-
     recordKernelAt(ctx, "CalculateFluxes", block.rank(),
                    "CalculateFluxes",
-                   static_cast<double>(s.interiorCells()), costs,
+                   static_cast<double>(s.interiorCells()),
+                   hllFluxCosts(config_.recon, s.ndim, ncomp),
                    static_cast<double>(s.nx1));
     if (!ctx.executing())
         return;
 
-    RealArray4& cons = block.cons();
-    // One (ul, ur, f) state triple per execution-space chunk, sized
-    // once at launch setup (grow-only, so steady state allocates
-    // nothing); the HLL body indexes it by chunk id. The old
-    // thread_local scratch re-checked its size inside the innermost
-    // flux loop, once per cell. Concurrent per-block flux tasks each
-    // run on their own thread and so get their own buffer; chunks of
-    // a top-level launch index disjoint slices of the launching
-    // thread's buffer, which outlives the synchronous launch.
-    static thread_local std::vector<double> hll_scratch;
-    const std::size_t scratch_need =
-        static_cast<std::size_t>(ctx.space().concurrency()) * 3 * ncomp;
-    if (hll_scratch.size() < scratch_need)
-        hll_scratch.resize(scratch_need);
-    // Captured as a plain pointer: thread_locals are not captured by
-    // lambdas, so without this a pool worker running a chunk would
-    // resolve `hll_scratch` to its own (unsized) instance.
-    double* const scratch_base = hll_scratch.data();
-    for (int d = 0; d < ndim; ++d) {
-        RealArray4* rl = block.reconL(d);
-        RealArray4* rr = block.reconR(d);
-        require(rl && rr, "reconstruction scratch missing");
+    // The widest pencil is the x sweep's nx1 + 1 faces.
+    const std::size_t per_chunk =
+        2 * static_cast<std::size_t>(ncomp) * (s.nx1 + 1);
+    double* const scratch_base = pencilScratch(ctx, per_chunk);
+    const RealArray4& cons = block.cons();
+    for (int d = 0; d < s.ndim; ++d) {
         RealArray4& flux = block.flux(d);
-        const int di = d == 0 ? 1 : 0;
-        const int dj = d == 1 ? 1 : 0;
-        const int dk = d == 2 ? 1 : 0;
-        // Face range: interior faces of dim d, interior cells in
-        // transverse dims.
-        const int fis = s.is(), fie = s.ie() + di;
-        const int fjs = s.js(), fje = s.je() + dj;
-        const int fks = s.ks(), fke = s.ke() + dk;
-
-        // Both passes are accounted by the per-block recordKernelAt
-        // above; the launches only dispatch them on the space. A
-        // one-block pack launch flattens the identical (n, k, j) row
-        // domain the old 4-D launch chunked, and both passes run the
-        // same shared row kernels as the fused pack path.
-        parForPackExec(ctx, 1, 0, ncomp - 1, fks, fke, fjs, fje,
-                       [&](int, int, int n, int k, int j) {
-                           reconRow(cons, *rl, *rr, config_.recon, n, k,
-                                    j, fis, fie, di, dj, dk);
-                       });
-
-        // HLL pass over the same faces, one row per body call.
+        // Interior faces of dim d, interior cells in transverse dims.
+        const int fis = s.is(), fie = s.ie() + (d == 0);
+        const int fjs = s.js(), fje = s.je() + (d == 1);
+        const int fks = s.ks(), fke = s.ke() + (d == 2);
         parForExecRows(
             ctx, fks, fke, fjs, fje, [&](int chunk, int k, int j) {
-                double* ul = scratch_base +
-                             static_cast<std::size_t>(chunk) * 3 * ncomp;
-                double* ur = ul + ncomp;
-                hllRow(*rl, *rr, flux, d, ncomp, k, j, fis, fie, ul,
-                       ur, ur + ncomp);
+                hllFluxRow(cons, flux, config_.recon, d, ncomp, k, j, fis,
+                           fie, scratch_base + chunk * per_chunk);
             });
     }
 }
@@ -238,72 +231,34 @@ BurgersPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
 void
 BurgersPackage::calculateFluxesPack(Mesh& mesh, MeshBlockPack& pack) const
 {
-    // Shared recon scratch (§VIII-B) is lent to every block at once; a
-    // cross-block fused launch would race on it, so keep the serial
-    // per-block sweep there (the task-graph driver serializes the same
-    // way).
-    if (mesh.config().optimizeAuxMemory) {
-        for (int b = 0; b < pack.numBlocks(); ++b)
-            calculateFluxesBlock(mesh, pack.meshBlock(b));
-        return;
-    }
-
     const ExecContext& ctx = mesh.ctx();
     const BlockShape s = mesh.config().blockShape();
     const int ncomp = mesh.registry().ncompConserved();
-    const int ndim = s.ndim;
     const int nb = pack.numBlocks();
-    const double recon_flops =
-        config_.recon == ReconMethod::Weno5 ? kWeno5Flops : kPlmFlops;
-    const KernelCosts costs{
-        ndim * ncomp * (2 * recon_flops + kHllFlopsPerComp),
-        ndim * ncomp * 4.0 * sizeof(double)};
-
-    recordPackKernel(ctx, "CalculateFluxes", "CalculateFluxes", costs,
+    recordPackKernel(ctx, "CalculateFluxes", "CalculateFluxes",
+                     hllFluxCosts(config_.recon, s.ndim, ncomp),
                      pack.ranks(), nb,
                      static_cast<double>(s.interiorCells()),
                      static_cast<double>(s.nx1));
     if (!ctx.executing())
         return;
 
-    // Grow-only per-thread scratch, pointer-snapshotted for capture —
-    // same pattern (and same rationale) as calculateFluxesBlock.
-    static thread_local std::vector<double> hll_scratch;
-    const std::size_t scratch_need =
-        static_cast<std::size_t>(ctx.space().concurrency()) * 3 * ncomp;
-    if (hll_scratch.size() < scratch_need)
-        hll_scratch.resize(scratch_need);
-    double* const scratch_base = hll_scratch.data();
-
-    for (int d = 0; d < ndim; ++d) {
-        const int di = d == 0 ? 1 : 0;
-        const int dj = d == 1 ? 1 : 0;
-        const int dk = d == 2 ? 1 : 0;
-        const int fis = s.is(), fie = s.ie() + di;
-        const int fjs = s.js(), fje = s.je() + dj;
-        const int fks = s.ks(), fke = s.ke() + dk;
-
-        // Reconstruction: one fused launch over (b, n, k, j) rows,
-        // running the same shared row kernel as the per-block path.
-        parForPackExec(
-            ctx, nb, 0, ncomp - 1, fks, fke, fjs, fje,
-            [&](int, int b, int n, int k, int j) {
-                BlockPackView& v = pack.view(b);
-                reconRow(*v.cons, *v.reconL[d], *v.reconR[d],
-                         config_.recon, n, k, j, fis, fie, di, dj, dk);
-            });
-
-        // HLL: one fused launch over (b, k, j) rows, per-chunk scratch.
-        parForPackExec(
-            ctx, nb, 0, 0, fks, fke, fjs, fje,
-            [&](int chunk, int b, int, int k, int j) {
-                BlockPackView& v = pack.view(b);
-                double* ul = scratch_base +
-                             static_cast<std::size_t>(chunk) * 3 * ncomp;
-                double* ur = ul + ncomp;
-                hllRow(*v.reconL[d], *v.reconR[d], *v.flux[d], d,
-                       ncomp, k, j, fis, fie, ul, ur, ur + ncomp);
-            });
+    const std::size_t per_chunk =
+        2 * static_cast<std::size_t>(ncomp) * (s.nx1 + 1);
+    double* const scratch_base = pencilScratch(ctx, per_chunk);
+    for (int d = 0; d < s.ndim; ++d) {
+        const int fis = s.is(), fie = s.ie() + (d == 0);
+        const int fjs = s.js(), fje = s.je() + (d == 1);
+        const int fks = s.ks(), fke = s.ke() + (d == 2);
+        // One fused launch over (b, k, j) face rows, running the same
+        // row kernel as the per-block path.
+        parForPackExec(ctx, nb, 0, 0, fks, fke, fjs, fje,
+                       [&](int chunk, int b, int, int k, int j) {
+                           BlockPackView& v = pack.view(b);
+                           hllFluxRow(*v.cons, *v.flux[d], config_.recon,
+                                      d, ncomp, k, j, fis, fie,
+                                      scratch_base + chunk * per_chunk);
+                       });
     }
 }
 

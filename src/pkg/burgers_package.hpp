@@ -98,21 +98,18 @@ class BurgersPackage : public PackageDescriptor
 
     /**
      * WENO5/PLM reconstruction + HLL fluxes for one block (kernel
-     * "CalculateFluxes", task-graph node). Reads only the block's own
-     * data — unless the mesh shares reconstruction scratch
-     * (optimizeAuxMemory), in which case the driver serializes these
-     * tasks.
+     * "CalculateFluxes", task-graph node): one row launch per
+     * direction, each row reconstructed and solved in per-chunk pencil
+     * scratch. Reads only the block's own data.
      */
     void calculateFluxesBlock(Mesh& mesh,
                               MeshBlock& block) const override;
 
     /**
      * Fused-pack reconstruction + fluxes: one hierarchical launch over
-     * the packed (block, n, k, j) face domain per direction instead of
-     * one launch per block. Bitwise identical to the per-block path on
-     * every backend. With the §VIII-B shared recon scratch the fused
-     * launch would race across blocks, so it falls back to the serial
-     * per-block loop (matching the graph driver's serialization).
+     * the packed (block, k, j) face rows per direction instead of one
+     * launch per block, running the same row kernel as the per-block
+     * path, so the two are bitwise identical on every backend.
      */
     void calculateFluxesPack(Mesh& mesh,
                              MeshBlockPack& pack) const override;

@@ -88,18 +88,17 @@ class PackageDescriptor
 
     /**
      * Reconstruction + fluxes for one block (task-graph node). Reads
-     * only the block's own data — unless the mesh shares
-     * reconstruction scratch (optimizeAuxMemory), in which case the
-     * driver serializes these tasks.
+     * only the block's own data; face states live in per-chunk pencil
+     * scratch, never in block arrays, so flux tasks of distinct blocks
+     * may always run concurrently.
      */
     virtual void calculateFluxesBlock(Mesh& mesh,
                                       MeshBlock& block) const = 0;
 
     /**
      * Fused-pack reconstruction + fluxes: one hierarchical launch over
-     * the packed face domain per direction. Must fall back to the
-     * serial per-block sweep under shared recon scratch (a cross-block
-     * fused launch would race on it).
+     * the packed (block, k, j) face rows per direction, running the
+     * same row kernel as the per-block callback.
      */
     virtual void calculateFluxesPack(Mesh& mesh,
                                      MeshBlockPack& pack) const = 0;

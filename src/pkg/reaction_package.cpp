@@ -48,20 +48,6 @@ centerDist(double x)
     return std::min(d, 1.0 - d);
 }
 
-/** Exact upwind flux for one (k, j) row of faces [fis, fie]. */
-inline void
-upwindRow(const RealArray4& rl, const RealArray4& rr, RealArray4& flux,
-          double vel, int ncomp, int k, int j, int fis, int fie)
-{
-    for (int i = fis; i <= fie; ++i)
-        for (int n = 0; n < ncomp; ++n)
-            flux(n, k, j, i) = vel >= 0.0 ? vel * rl(n, k, j, i)
-                                          : vel * rr(n, k, j, i);
-}
-
-/** Flops of one upwind flux per component. */
-constexpr double kUpwindFlopsPerComp = 2.0;
-
 /**
  * Solve c = a / (1 + stiffness * g(c) * exp(c - 1)), g(c) = c^2 /
  * (1 + c^2), by fixed-point iteration from c = a. At the default
@@ -209,106 +195,15 @@ ReactionPackage::initializeBlock(const ExecContext& ctx,
 void
 ReactionPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
 {
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const int ndim = s.ndim;
-    const double recon_flops =
-        config_.recon == ReconMethod::Weno5 ? kWeno5Flops : kPlmFlops;
-    const KernelCosts costs{
-        ndim * ncomp * (2 * recon_flops + kUpwindFlopsPerComp),
-        ndim * ncomp * 4.0 * sizeof(double)};
-
-    recordKernelAt(ctx, "CalculateFluxes", block.rank(),
-                   "CalculateFluxes",
-                   static_cast<double>(s.interiorCells()), costs,
-                   static_cast<double>(s.nx1));
-    if (!ctx.executing())
-        return;
-
     const double vel[3] = {config_.vx, config_.vy, config_.vz};
-    RealArray4& cons = block.cons();
-    for (int d = 0; d < ndim; ++d) {
-        RealArray4* rl = block.reconL(d);
-        RealArray4* rr = block.reconR(d);
-        require(rl && rr, "reconstruction scratch missing");
-        RealArray4& flux = block.flux(d);
-        const int di = d == 0 ? 1 : 0;
-        const int dj = d == 1 ? 1 : 0;
-        const int dk = d == 2 ? 1 : 0;
-        const int fis = s.is(), fie = s.ie() + di;
-        const int fjs = s.js(), fje = s.je() + dj;
-        const int fks = s.ks(), fke = s.ke() + dk;
-
-        parForPackExec(ctx, 1, 0, ncomp - 1, fks, fke, fjs, fje,
-                       [&](int, int, int n, int k, int j) {
-                           reconRow(cons, *rl, *rr, config_.recon, n, k,
-                                    j, fis, fie, di, dj, dk);
-                       });
-
-        parForExecRows(ctx, fks, fke, fjs, fje,
-                       [&](int, int k, int j) {
-                           upwindRow(*rl, *rr, flux, vel[d], ncomp, k,
-                                     j, fis, fie);
-                       });
-    }
+    fvUpwindFluxesBlock(mesh, block, config_.recon, vel);
 }
 
 void
 ReactionPackage::calculateFluxesPack(Mesh& mesh, MeshBlockPack& pack) const
 {
-    // Shared recon scratch (§VIII-B) is lent to every block at once; a
-    // cross-block fused launch would race on it, so fall back to the
-    // serial per-block sweep.
-    if (mesh.config().optimizeAuxMemory) {
-        for (int b = 0; b < pack.numBlocks(); ++b)
-            calculateFluxesBlock(mesh, pack.meshBlock(b));
-        return;
-    }
-
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const int ndim = s.ndim;
-    const int nb = pack.numBlocks();
-    const double recon_flops =
-        config_.recon == ReconMethod::Weno5 ? kWeno5Flops : kPlmFlops;
-    const KernelCosts costs{
-        ndim * ncomp * (2 * recon_flops + kUpwindFlopsPerComp),
-        ndim * ncomp * 4.0 * sizeof(double)};
-
-    recordPackKernel(ctx, "CalculateFluxes", "CalculateFluxes", costs,
-                     pack.ranks(), nb,
-                     static_cast<double>(s.interiorCells()),
-                     static_cast<double>(s.nx1));
-    if (!ctx.executing())
-        return;
-
     const double vel[3] = {config_.vx, config_.vy, config_.vz};
-    for (int d = 0; d < ndim; ++d) {
-        const int di = d == 0 ? 1 : 0;
-        const int dj = d == 1 ? 1 : 0;
-        const int dk = d == 2 ? 1 : 0;
-        const int fis = s.is(), fie = s.ie() + di;
-        const int fjs = s.js(), fje = s.je() + dj;
-        const int fks = s.ks(), fke = s.ke() + dk;
-
-        parForPackExec(
-            ctx, nb, 0, ncomp - 1, fks, fke, fjs, fje,
-            [&](int, int b, int n, int k, int j) {
-                BlockPackView& v = pack.view(b);
-                reconRow(*v.cons, *v.reconL[d], *v.reconR[d],
-                         config_.recon, n, k, j, fis, fie, di, dj, dk);
-            });
-
-        parForPackExec(ctx, nb, 0, 0, fks, fke, fjs, fje,
-                       [&](int, int b, int, int k, int j) {
-                           BlockPackView& v = pack.view(b);
-                           upwindRow(*v.reconL[d], *v.reconR[d],
-                                     *v.flux[d], vel[d], ncomp, k, j,
-                                     fis, fie);
-                       });
-    }
+    fvUpwindFluxesPack(mesh, pack, config_.recon, vel);
 }
 
 void

@@ -1,11 +1,42 @@
 #include "solver/rk2.hpp"
 
+#include <algorithm>
+
 #include "exec/par_for.hpp"
 #include "mesh/block_pack.hpp"
 
 namespace vibe {
 
 namespace {
+
+/**
+ * u <- wa*u0 + wb*u + wc*dt*dudt over one (k, j) row of cells [is, ie],
+ * components outer and a unit-stride i loop inner (the same per-cell
+ * expression as a cell-by-cell sweep).
+ */
+inline void
+weightedSumRow(RealArray4& cons, const RealArray4& cons0,
+               const RealArray4& dudt, double wa, double wb, double wc,
+               double dt, int ncomp, int k, int j, int is, int ie)
+{
+    const int ncell = ie - is + 1;
+    for (int n = 0; n < ncomp; ++n) {
+        double* u = &cons(n, k, j, is);
+        const double* u0 = &cons0(n, k, j, is);
+        const double* du = &dudt(n, k, j, is);
+        for (int i = 0; i < ncell; ++i)
+            u[i] = wa * u0[i] + wb * u[i] + wc * dt * du[i];
+    }
+}
+
+/** u0 <- u over one (k, j) row of cells [is, ie]. */
+inline void
+saveStateRow(const RealArray4& cons, RealArray4& cons0, int ncomp, int k,
+             int j, int is, int ie)
+{
+    for (int n = 0; n < ncomp; ++n)
+        std::copy_n(&cons(n, k, j, is), ie - is + 1, &cons0(n, k, j, is));
+}
 
 /** Per-block implementation: u <- wa*u0 + wb*u + wc*dt*dudt. */
 void
@@ -23,14 +54,12 @@ weightedSumBlock(Mesh& mesh, MeshBlock& block, double wa, double wb,
     RealArray4& cons = block.cons();
     RealArray4& cons0 = block.cons0();
     RealArray4& dudt = block.dudt();
-    parForAt(ctx, "WeightedSumData", block.rank(), "WeightedSumData",
-             costs, s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
-             [&](int k, int j, int i) {
-                 for (int n = 0; n < ncomp; ++n)
-                     cons(n, k, j, i) = wa * cons0(n, k, j, i) +
-                                        wb * cons(n, k, j, i) +
-                                        wc * dt * dudt(n, k, j, i);
-             });
+    parForRowsAt(ctx, "WeightedSumData", block.rank(), "WeightedSumData",
+                 costs, s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
+                 [&](int k, int j) {
+                     weightedSumRow(cons, cons0, dudt, wa, wb, wc, dt,
+                                    ncomp, k, j, s.is(), s.ie());
+                 });
 }
 
 /** Whole-mesh form: one weighted sum per block. */
@@ -61,14 +90,8 @@ weightedSumPack(Mesh& mesh, MeshBlockPack& pack, double wa, double wb,
                pack.ranks(), nb, 0, 0, s.ks(), s.ke(), s.js(), s.je(),
                s.is(), s.ie(), [&](int, int b, int, int k, int j) {
                    BlockPackView& v = pack.view(b);
-                   RealArray4& cons = *v.cons;
-                   const RealArray4& cons0 = *v.cons0;
-                   const RealArray4& dudt = *v.dudt;
-                   for (int i = s.is(); i <= s.ie(); ++i)
-                       for (int n = 0; n < ncomp; ++n)
-                           cons(n, k, j, i) = wa * cons0(n, k, j, i) +
-                                              wb * cons(n, k, j, i) +
-                                              wc * dt * dudt(n, k, j, i);
+                   weightedSumRow(*v.cons, *v.cons0, *v.dudt, wa, wb, wc,
+                                  dt, ncomp, k, j, s.is(), s.ie());
                });
 }
 
@@ -87,11 +110,11 @@ saveState(Mesh& mesh)
         ctx.setCurrentRank(block->rank());
         RealArray4& cons = block->cons();
         RealArray4& cons0 = block->cons0();
-        parFor(ctx, "WeightedSumData", costs, s.ks(), s.ke(), s.js(),
-               s.je(), s.is(), s.ie(), [&](int k, int j, int i) {
-                   for (int n = 0; n < ncomp; ++n)
-                       cons0(n, k, j, i) = cons(n, k, j, i);
-               });
+        parForRows(ctx, "WeightedSumData", costs, s.ks(), s.ke(), s.js(),
+                   s.je(), s.is(), s.ie(), [&](int k, int j) {
+                       saveStateRow(cons, cons0, ncomp, k, j, s.is(),
+                                    s.ie());
+                   });
     }
 }
 
@@ -129,11 +152,8 @@ saveStatePack(Mesh& mesh, MeshBlockPack& pack)
                s.js(), s.je(), s.is(), s.ie(),
                [&](int, int b, int, int k, int j) {
                    BlockPackView& v = pack.view(b);
-                   const RealArray4& cons = *v.cons;
-                   RealArray4& cons0 = *v.cons0;
-                   for (int i = s.is(); i <= s.ie(); ++i)
-                       for (int n = 0; n < ncomp; ++n)
-                           cons0(n, k, j, i) = cons(n, k, j, i);
+                   saveStateRow(*v.cons, *v.cons0, ncomp, k, j, s.is(),
+                                s.ie());
                });
 }
 

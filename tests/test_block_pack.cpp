@@ -276,8 +276,9 @@ TEST(MeshBlockPack, RebuiltOnlyOnRemesh)
 TEST(MeshBlockPack, SharedScratchFallbackMatchesBitwise)
 {
     // optimizeAuxMemory lends one recon scratch to all blocks; the
-    // pack flux path must fall back to the serial per-block sweep and
-    // still match the per-block graph path bitwise.
+    // fused pack flux launch (which reconstructs in per-chunk pencil
+    // scratch, never in the lent arrays) must still match the
+    // per-block graph path bitwise.
     const PackRun per_block = runRipple(1, false, true);
     for (int threads : {1, 4}) {
         const PackRun packed = runRipple(threads, true, true);

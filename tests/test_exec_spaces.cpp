@@ -320,9 +320,11 @@ TEST(ExecutionSpace, ThreadedNumericRunMatchesSerialExactly)
 
 TEST(ExecutionSpace, SharedScratchSerializesFluxTasksCorrectly)
 {
-    // With the §VIII-B shared reconstruction scratch, per-block flux
-    // tasks are chained under the threaded executor; the result must
-    // still match the serial run bitwise.
+    // With the §VIII-B shared reconstruction scratch lent to every
+    // block, per-block flux tasks run concurrently under the threaded
+    // executor (they reconstruct in per-chunk pencil scratch, never in
+    // the lent arrays); the result must still match the serial run
+    // bitwise.
     const RippleRun serial = runRipple(1, true);
     const RippleRun threaded = runRipple(4, true);
     ASSERT_EQ(serial.locs, threaded.locs);

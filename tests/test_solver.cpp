@@ -115,7 +115,7 @@ TEST(Hll, ConsistencyWithEqualStates)
     const int ncomp = 5;
     double u[5] = {0.7, -0.3, 0.2, 1.1, 0.4};
     double flux[5];
-    hllFlux(u, u, 0, ncomp, flux);
+    hllPencil(u, u, 1, 0, ncomp, flux, 1);
     for (int m = 0; m < 3; ++m)
         EXPECT_NEAR(flux[m], 0.5 * u[0] * u[m], 1e-14);
     for (int m = 3; m < ncomp; ++m)
@@ -128,7 +128,7 @@ TEST(Hll, UpwindsSupersonicRight)
     double ul[4] = {1.0, 0.2, 0.0, 2.0};
     double ur[4] = {0.5, 0.1, 0.0, 3.0};
     double flux[4];
-    hllFlux(ul, ur, 0, 4, flux);
+    hllPencil(ul, ur, 1, 0, 4, flux, 1);
     EXPECT_NEAR(flux[0], 0.5 * 1.0 * 1.0, 1e-14);
     EXPECT_NEAR(flux[3], 1.0 * 2.0, 1e-14);
 }
@@ -138,7 +138,7 @@ TEST(Hll, UpwindsSupersonicLeft)
     double ul[4] = {-0.5, 0.0, 0.0, 2.0};
     double ur[4] = {-1.0, 0.0, 0.0, 3.0};
     double flux[4];
-    hllFlux(ul, ur, 0, 4, flux);
+    hllPencil(ul, ur, 1, 0, 4, flux, 1);
     EXPECT_NEAR(flux[0], 0.5 * (-1.0) * (-1.0), 1e-14);
     EXPECT_NEAR(flux[3], (-1.0) * 3.0, 1e-14);
 }
@@ -148,7 +148,7 @@ TEST(Hll, StagnantInterfaceAveragesFlux)
     double ul[4] = {0.0, 1.0, 0.0, 2.0};
     double ur[4] = {0.0, -1.0, 0.0, 4.0};
     double flux[4];
-    hllFlux(ul, ur, 0, 4, flux);
+    hllPencil(ul, ur, 1, 0, 4, flux, 1);
     EXPECT_NEAR(flux[0], 0.0, 1e-14);
     EXPECT_NEAR(flux[3], 0.0, 1e-14);
 }
@@ -158,7 +158,7 @@ TEST(Hll, DirectionSelectsVelocityComponent)
     double ul[4] = {0.0, 2.0, 0.0, 1.0};
     double ur[4] = {0.0, 2.0, 0.0, 1.0};
     double flux[4];
-    hllFlux(ul, ur, 1, 4, flux); // y-direction: vel = u[1] = 2
+    hllPencil(ul, ur, 1, 1, 4, flux, 1); // y-direction: vel = u[1] = 2
     EXPECT_NEAR(flux[1], 0.5 * 2.0 * 2.0, 1e-14);
     EXPECT_NEAR(flux[3], 2.0 * 1.0, 1e-14);
 }

@@ -775,6 +775,8 @@ EvolutionDriver::addFusedFluxCorrTasks(TaskList& tl,
 TaskList
 EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
 {
+    TraceSpan span("BuildStageGraph", TraceCat::Driver,
+                   mesh_->collectiveRank(), cycle_);
     // Serial point: if the rebuild hook fired, the plan rebuild
     // happens here, before any task can read the tables.
     exchange_.plan().ensureBuilt();

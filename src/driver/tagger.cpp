@@ -13,13 +13,13 @@ GradientTagger::tagAll(Mesh& mesh, double /*time*/,
 {
     const ExecContext& ctx = mesh.ctx();
     PhaseScope scope(ctx.profiler(), "Refinement::Tag");
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        block->setTag(package_->tagBlock(*block, ctx));
+    parForBlocks(ctx, mesh.ownedBlocks(), [&](int, MeshBlock& block) {
+        block.setTag(package_->tagBlock(block, ctx));
         // CheckAllRefinement walks every package with scalar heuristics
         // (§VIII-A "Refinement Tagging via Scalar Loops").
-        recordSerial(ctx, "refine_check", 1.0);
-    }
+        recordSerialAt(ctx, "Refinement::Tag", block.rank(),
+                       "refine_check", 1.0);
+    });
 }
 
 double
@@ -44,14 +44,15 @@ SphericalWaveTagger::tagAll(Mesh& mesh, double time,
     // Same kernel work the gradient criterion would launch per block.
     const KernelCosts tag_costs{120.0, 1.0 * sizeof(double)};
 
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        recordKernel(ctx, "FirstDerivative",
-                     static_cast<double>(shape.interiorCells()),
-                     tag_costs, static_cast<double>(shape.nx1));
-        recordSerial(ctx, "refine_check", 1.0);
+    parForBlocks(ctx, mesh.ownedBlocks(), [&](int, MeshBlock& block) {
+        recordKernelAt(ctx, "Refinement::Tag", block.rank(),
+                       "FirstDerivative",
+                       static_cast<double>(shape.interiorCells()),
+                       tag_costs, static_cast<double>(shape.nx1));
+        recordSerialAt(ctx, "Refinement::Tag", block.rank(),
+                       "refine_check", 1.0);
 
-        const BlockGeometry& g = block->geom();
+        const BlockGeometry& g = block.geom();
         // Distance band from the shell center to the block's AABB.
         const double lo[3] = {g.x1min, g.x2min, g.x3min};
         const double hi[3] = {g.x1max, g.x2max, g.x3max};
@@ -83,12 +84,12 @@ SphericalWaveTagger::tagAll(Mesh& mesh, double time,
         }
 
         if (intersects)
-            block->setTag(RefinementFlag::Refine);
+            block.setTag(RefinementFlag::Refine);
         else if (far_away)
-            block->setTag(RefinementFlag::Derefine);
+            block.setTag(RefinementFlag::Derefine);
         else
-            block->setTag(RefinementFlag::None);
-    }
+            block.setTag(RefinementFlag::None);
+    });
 }
 
 } // namespace vibe

@@ -46,6 +46,7 @@ struct ThreadPoolSpace::Impl
     int remaining VIBE_GUARDED_BY(mutex) = 0;
     bool stop VIBE_GUARDED_BY(mutex) = false;
     bool launch_in_flight VIBE_GUARDED_BY(mutex) = false;
+    std::uint64_t launches VIBE_GUARDED_BY(mutex) = 0;
     /** First exception a worker chunk threw; rethrown on the caller. */
     std::exception_ptr error VIBE_GUARDED_BY(mutex);
 };
@@ -140,6 +141,7 @@ ThreadPoolSpace::forEachChunk(std::int64_t n, ChunkFn fn, void* body)
                 "ThreadPoolSpace: concurrent launch from a second "
                 "thread; each driving thread needs its own space");
         impl.launch_in_flight = true;
+        ++impl.launches;
         impl.fn = fn;
         impl.body = body;
         impl.n = n;
@@ -172,6 +174,14 @@ ThreadPoolSpace::forEachChunk(std::int64_t n, ChunkFn fn, void* body)
     }
     if (error)
         std::rethrow_exception(error);
+}
+
+std::uint64_t
+ThreadPoolSpace::launches() const
+{
+    Impl& impl = *impl_;
+    LockGuard lock(impl.mutex);
+    return impl.launches;
 }
 
 void

@@ -34,7 +34,7 @@ class ExecutionSpace
 
     /**
      * Number of chunks a range is split into (1 for serial). Also the
-     * number of deterministic partial accumulators for `parReduce`.
+     * number of deterministic partial accumulators for `parReduceAt`.
      */
     virtual int concurrency() const = 0;
 
@@ -92,6 +92,13 @@ class ThreadPoolSpace final : public ExecutionSpace
     const char* name() const override { return "threadpool"; }
     int concurrency() const override { return num_threads_; }
     void forEachChunk(std::int64_t n, ChunkFn fn, void* body) override;
+
+    /**
+     * Top-level launches handed to the workers so far (each one a
+     * fork-join round trip). Nested in-line launches and empty ranges
+     * are not counted.
+     */
+    std::uint64_t launches() const;
 
   private:
     struct Impl;

@@ -17,7 +17,7 @@
  * launch allocates nothing on the no-profiler, counting, and
  * steady-state recording paths.
  *
- * Reductions must use `parReduce` rather than accumulating into a
+ * Reductions must use `parReduceAt` rather than accumulating into a
  * capture: it gives each static chunk its own accumulator and combines
  * the partials in chunk order, which is race-free and deterministic
  * for a fixed thread count (and exact for min/max under any chunking).
@@ -42,7 +42,7 @@ struct KernelCosts
     double bytesPerItem = 0;
 };
 
-/** Combine operation for `parReduce`. */
+/** Combine operation for `parReduceAt`. */
 enum class ReduceOp { Min, Max, Sum };
 
 namespace detail {
@@ -317,79 +317,6 @@ parFor(const ExecContext& ctx, std::string_view name,
 }
 
 /**
- * 3-D named reduction kernel over [kl,ku] x [jl,ju] x [il,iu].
- *
- * The body receives (k, j, i, double& acc) and must fold the cell's
- * contribution into `acc` with the declared operation. `result` enters
- * as the initial value and leaves combined with every chunk partial in
- * chunk order: min/max results are exact under any chunking, sum
- * results are deterministic for a fixed thread count.
- */
-template <typename F>
-void
-parReduce(const ExecContext& ctx, std::string_view name,
-          const KernelCosts& costs, ReduceOp op, double& result, int kl,
-          int ku, int jl, int ju, int il, int iu, F&& body)
-{
-    const double nk = ku >= kl ? static_cast<double>(ku - kl + 1) : 0.0;
-    const double nj = ju >= jl ? static_cast<double>(ju - jl + 1) : 0.0;
-    const double ni = iu >= il ? static_cast<double>(iu - il + 1) : 0.0;
-    const double items = nk * nj * ni;
-    if (ctx.profiler()) {
-        ctx.profiler()->record({name, {}, ctx.currentRank(), 1, items,
-                                items * costs.flopsPerItem,
-                                items * costs.bytesPerItem, ni});
-    }
-    if (!ctx.executing() || ku < kl || ju < jl || iu < il)
-        return;
-
-    TraceSpan trace(name, TraceCat::Kernel, ctx.currentRank());
-    ExecutionSpace& space = ctx.space();
-    const std::int64_t onk = static_cast<std::int64_t>(ku) - kl + 1;
-    const std::int64_t onj = static_cast<std::int64_t>(ju) - jl + 1;
-    if (space.concurrency() == 1 || onk * onj <= 1) {
-        double partial = detail::reduceIdentity(op);
-        for (int k = kl; k <= ku; ++k)
-            for (int j = jl; j <= ju; ++j)
-                for (int i = il; i <= iu; ++i)
-                    body(k, j, i, partial);
-        result = detail::reduceCombine(op, result, partial);
-        return;
-    }
-
-    struct ReduceLaunch
-    {
-        F& body;
-        double* partials;
-        std::int64_t nj;
-        int kl, jl, il, iu;
-    };
-    // One accumulator per static chunk; combined in chunk order below.
-    std::vector<double> partials(
-        static_cast<std::size_t>(space.concurrency()),
-        detail::reduceIdentity(op));
-    ReduceLaunch launch{body, partials.data(), onj, kl, jl, il, iu};
-    space.forEachChunk(
-        onk * onj,
-        [](void* p, std::int64_t begin, std::int64_t end, int chunk) {
-            auto* launch = static_cast<ReduceLaunch*>(p);
-            double acc = launch->partials[chunk];
-            for (std::int64_t idx = begin; idx < end; ++idx) {
-                const int k =
-                    launch->kl + static_cast<int>(idx / launch->nj);
-                const int j =
-                    launch->jl + static_cast<int>(idx % launch->nj);
-                for (int i = launch->il; i <= launch->iu; ++i)
-                    launch->body(k, j, i, acc);
-            }
-            launch->partials[chunk] = acc;
-        },
-        &launch);
-    for (double partial : partials)
-        result = detail::reduceCombine(op, result, partial);
-}
-
-/**
  * Record a kernel launch whose body is executed elsewhere (used for
  * batched pack/unpack where the loop structure is irregular).
  */
@@ -488,6 +415,145 @@ parForAt(const ExecContext& ctx, std::string_view phase, int rank,
                      for (int i = il; i <= iu; ++i)
                          body(k, j, i);
                  });
+}
+
+/**
+ * 3-D named reduction kernel over [kl,ku] x [jl,ju] x [il,iu] with
+ * explicit phase and rank attribution.
+ *
+ * The body receives (k, j, i, double& acc) and must fold the cell's
+ * contribution into `acc` with the declared operation. `result` enters
+ * as the initial value and leaves combined with every chunk partial in
+ * chunk order: min/max results are exact under any chunking, sum
+ * results are deterministic for a fixed thread count (a nested launch
+ * keeps the chunk partition, so a reduction run in-line on a pool
+ * worker folds bitwise as a top-level one).
+ */
+template <typename F>
+void
+parReduceAt(const ExecContext& ctx, std::string_view phase, int rank,
+            std::string_view name, const KernelCosts& costs, ReduceOp op,
+            double& result, int kl, int ku, int jl, int ju, int il, int iu,
+            F&& body)
+{
+    const double nk = ku >= kl ? static_cast<double>(ku - kl + 1) : 0.0;
+    const double nj = ju >= jl ? static_cast<double>(ju - jl + 1) : 0.0;
+    const double ni = iu >= il ? static_cast<double>(iu - il + 1) : 0.0;
+    const double items = nk * nj * ni;
+    if (ctx.profiler()) {
+        ctx.profiler()->record({name, phase, rank, 1, items,
+                                items * costs.flopsPerItem,
+                                items * costs.bytesPerItem, ni});
+    }
+    if (!ctx.executing() || ku < kl || ju < jl || iu < il)
+        return;
+
+    TraceSpan trace(name, TraceCat::Kernel, rank, -1, phase);
+    ExecutionSpace& space = ctx.space();
+    const std::int64_t onk = static_cast<std::int64_t>(ku) - kl + 1;
+    const std::int64_t onj = static_cast<std::int64_t>(ju) - jl + 1;
+    if (space.concurrency() == 1 || onk * onj <= 1) {
+        double partial = detail::reduceIdentity(op);
+        for (int k = kl; k <= ku; ++k)
+            for (int j = jl; j <= ju; ++j)
+                for (int i = il; i <= iu; ++i)
+                    body(k, j, i, partial);
+        result = detail::reduceCombine(op, result, partial);
+        return;
+    }
+
+    struct ReduceLaunch
+    {
+        F& body;
+        double* partials;
+        std::int64_t nj;
+        int kl, jl, il, iu;
+    };
+    // One accumulator per static chunk; combined in chunk order below.
+    std::vector<double> partials(
+        static_cast<std::size_t>(space.concurrency()),
+        detail::reduceIdentity(op));
+    ReduceLaunch launch{body, partials.data(), onj, kl, jl, il, iu};
+    space.forEachChunk(
+        onk * onj,
+        [](void* p, std::int64_t begin, std::int64_t end, int chunk) {
+            auto* launch = static_cast<ReduceLaunch*>(p);
+            double acc = launch->partials[chunk];
+            for (std::int64_t idx = begin; idx < end; ++idx) {
+                const int k =
+                    launch->kl + static_cast<int>(idx / launch->nj);
+                const int j =
+                    launch->jl + static_cast<int>(idx % launch->nj);
+                for (int i = launch->il; i <= launch->iu; ++i)
+                    launch->body(k, j, i, acc);
+            }
+            launch->partials[chunk] = acc;
+        },
+        &launch);
+    for (double partial : partials)
+        result = detail::reduceCombine(op, result, partial);
+}
+
+// ---------------------------------------------------------------------
+// Whole-mesh block sweeps.
+//
+// The per-cycle sweeps outside the stage graphs (saveState,
+// fillDerived, estimateTimestep, massHistory, gradient tagging) visit
+// every owned block once. Issuing each block's kernels as their own
+// top-level launch costs one pool fork-join per block per sweep; on
+// small blocks that round trip, not the kernel, is the sweep's cost.
+// parForBlocks instead makes the sweep ONE launch: static chunks of
+// whole blocks go to the workers, and each block's kernels run in-line
+// on its worker under the nested-launch rule (execution_space.cpp),
+// keeping their concurrency() chunk partition and chunk-order combine.
+// Every per-block result is therefore bitwise what a per-block
+// top-level launch computes at the same thread count. Whole blocks
+// per worker is the stage graph's own rule (tasks are the sole unit of
+// concurrency).
+//
+// Bodies may run concurrently, so they attribute through the *At
+// variants with the block's rank and an explicit phase, write only
+// their own block or an index-addressed slot, and leave cross-block
+// folds to the caller after the launch, in owned order.
+// ---------------------------------------------------------------------
+
+/**
+ * Run body(index, block) for every entry of `blocks` as one launch.
+ * On a serial space, in counting mode, or for a single block this is
+ * a plain loop in list order. Afterwards the context's ambient rank is
+ * the last block's, as a per-block loop that set it before each block
+ * leaves it, so records after the sweep keep their attribution.
+ * Templated on the block pointer type so exec/ stays below mesh/.
+ */
+template <typename BlockPtr, typename F>
+void
+parForBlocks(const ExecContext& ctx, const std::vector<BlockPtr>& blocks,
+             F&& body)
+{
+    const std::int64_t n = static_cast<std::int64_t>(blocks.size());
+    if (n == 0)
+        return;
+    ExecutionSpace& space = ctx.space();
+    if (!ctx.executing() || space.concurrency() == 1 || n == 1) {
+        for (std::int64_t b = 0; b < n; ++b)
+            body(static_cast<int>(b), *blocks[b]);
+    } else {
+        struct LaunchBlocks
+        {
+            F& body;
+            const BlockPtr* blocks;
+        } launch{body, blocks.data()};
+        space.forEachChunk(
+            n,
+            [](void* p, std::int64_t begin, std::int64_t end, int) {
+                auto* launch = static_cast<LaunchBlocks*>(p);
+                for (std::int64_t b = begin; b < end; ++b)
+                    launch->body(static_cast<int>(b),
+                                 *launch->blocks[b]);
+            },
+            &launch);
+    }
+    ctx.setCurrentRank(blocks.back()->rank());
 }
 
 // ---------------------------------------------------------------------
@@ -679,7 +745,7 @@ parForPack(const ExecContext& ctx, std::string_view phase,
  * Fused pack reduction over (block, k, j) rows; the body receives
  * (b, k, j, double& acc) and folds the whole row (its own i loop)
  * into `acc`. Chunk partials are combined in chunk order exactly as
- * parReduce: min/max results are chunking-exact — identical to the
+ * parReduceAt: min/max results are chunking-exact — identical to the
  * per-block reduction sequence bit for bit — and sums are
  * deterministic for a fixed thread count.
  */

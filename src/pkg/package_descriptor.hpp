@@ -144,7 +144,9 @@ class PackageDescriptor
 
     /**
      * Refinement criterion for one block (numeric mode only);
-     * counting-mode studies use an analytic tagger instead.
+     * counting-mode studies use an analytic tagger instead. Runs on a
+     * pool worker during the tagging sweep, so it records under the
+     * explicit "Refinement::Tag" phase and the block's rank.
      */
     virtual RefinementFlag tagBlock(const MeshBlock& block,
                                     const ExecContext& ctx) const = 0;

@@ -261,18 +261,20 @@ ReactionPackage::fillDerived(Mesh& mesh) const
     // chem_rate = a * b: 2 reads, 1 write, 1 flop per cell.
     const KernelCosts costs{1.0, 3.0 * sizeof(double)};
 
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        recordSerial(ctx, "string_lookup",
-                     static_cast<double>(mesh.registry().all().size()));
-        RealArray4& cons = block->cons();
-        RealArray4& derived = block->derived();
-        parFor(ctx, "CalculateDerived", costs, s.ks(), s.ke(), s.js(),
-               s.je(), s.is(), s.ie(), [&](int k, int j, int i) {
-                   derived(0, k, j, i) =
-                       cons(0, k, j, i) * cons(1, k, j, i);
-               });
-    }
+    const double lookups =
+        static_cast<double>(mesh.registry().all().size());
+    parForBlocks(ctx, mesh.ownedBlocks(), [&](int, MeshBlock& block) {
+        recordSerialAt(ctx, "FillDerived", block.rank(), "string_lookup",
+                       lookups);
+        RealArray4& cons = block.cons();
+        RealArray4& derived = block.derived();
+        parForAt(ctx, "FillDerived", block.rank(), "CalculateDerived",
+                 costs, s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
+                 [&](int k, int j, int i) {
+                     derived(0, k, j, i) =
+                         cons(0, k, j, i) * cons(1, k, j, i);
+                 });
+    });
 }
 
 void
@@ -311,30 +313,35 @@ ReactionPackage::estimateTimestep(Mesh& mesh, RankWorld& world,
     const BlockShape s = mesh.config().blockShape();
     const KernelCosts costs{10.0, 3.0 * sizeof(double)};
 
+    // Per-block minima in index slots, folded in owned order below
+    // (min is exact, so this is the running per-block minimum).
     double dt = fallback_dt / config_.cfl;
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        double block_dt = dt;
-        const BlockGeometry& g = block->geom();
-        parReduce(ctx, "EstTimeMesh", costs, ReduceOp::Min, block_dt,
-                  s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
-                  [&](int, int, int, double& acc) {
-                      constexpr double tiny = 1e-12;
-                      double cell_dt =
-                          g.dx1 / (std::fabs(config_.vx) + tiny);
-                      if (s.ndim >= 2)
-                          cell_dt = std::min(
-                              cell_dt,
-                              g.dx2 / (std::fabs(config_.vy) + tiny));
-                      if (s.ndim >= 3)
-                          cell_dt = std::min(
-                              cell_dt,
-                              g.dx3 / (std::fabs(config_.vz) + tiny));
-                      acc = std::min(acc, cell_dt);
-                  });
-        dt = std::min(dt, block_dt);
-        recordSerial(ctx, "dt_reduce", 1.0);
-    }
+    const auto& owned = mesh.ownedBlocks();
+    std::vector<double> block_dt(owned.size(), dt);
+    parForBlocks(ctx, owned, [&](int b, MeshBlock& block) {
+        const BlockGeometry& g = block.geom();
+        parReduceAt(ctx, "EstimateTimestep", block.rank(), "EstTimeMesh",
+                    costs, ReduceOp::Min, block_dt[b], s.ks(), s.ke(),
+                    s.js(), s.je(), s.is(), s.ie(),
+                    [&](int, int, int, double& acc) {
+                        constexpr double tiny = 1e-12;
+                        double cell_dt =
+                            g.dx1 / (std::fabs(config_.vx) + tiny);
+                        if (s.ndim >= 2)
+                            cell_dt = std::min(
+                                cell_dt,
+                                g.dx2 / (std::fabs(config_.vy) + tiny));
+                        if (s.ndim >= 3)
+                            cell_dt = std::min(
+                                cell_dt,
+                                g.dx3 / (std::fabs(config_.vz) + tiny));
+                        acc = std::min(acc, cell_dt);
+                    });
+        recordSerialAt(ctx, "EstimateTimestep", block.rank(), "dt_reduce",
+                       1.0);
+    });
+    for (double value : block_dt)
+        dt = std::min(dt, value);
     dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
                               sizeof(double));
     recordSerial(ctx, "collective", 1.0);
@@ -397,21 +404,19 @@ ReactionPackage::massHistory(Mesh& mesh, RankWorld& world) const
 
     // Gid-ordered per-block fold: bitwise independent of the rank
     // decomposition (see foldBlockPartials).
-    std::vector<BlockPartial> partials;
-    partials.reserve(mesh.ownedBlocks().size());
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        RealArray4& cons = block->cons();
-        const double vol = block->geom().cellVolume();
-        double block_mass = 0.0;
-        parReduce(ctx, "MassHistory", costs, ReduceOp::Sum, block_mass,
-                  s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
-                  [&](int k, int j, int i, double& acc) {
-                      acc += (cons(0, k, j, i) + cons(1, k, j, i)) *
-                             vol;
-                  });
-        partials.push_back({block->gid(), block_mass});
-    }
+    std::vector<BlockPartial> partials(mesh.ownedBlocks().size());
+    parForBlocks(ctx, mesh.ownedBlocks(), [&](int b, MeshBlock& block) {
+        RealArray4& cons = block.cons();
+        const double vol = block.geom().cellVolume();
+        partials[b].gid = block.gid();
+        parReduceAt(ctx, "other", block.rank(), "MassHistory", costs,
+                    ReduceOp::Sum, partials[b].value, s.ks(), s.ke(),
+                    s.js(), s.je(), s.is(), s.ie(),
+                    [&](int k, int j, int i, double& acc) {
+                        acc += (cons(0, k, j, i) + cons(1, k, j, i)) *
+                               vol;
+                    });
+    });
     const double mass =
         foldBlockPartials(mesh, world, std::move(partials));
     recordSerial(ctx, "collective", 1.0);
@@ -429,21 +434,22 @@ ReactionPackage::tagBlock(const MeshBlock& block,
     const KernelCosts costs{120.0, 1.0 * sizeof(double)};
     double max_jump = 0.0;
     const RealArray4& cons = block.cons();
-    parReduce(ctx, "FirstDerivative", costs, ReduceOp::Max, max_jump,
-              s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
-              [&](int k, int j, int i, double& acc) {
-                  const double gx = 0.5 * (cons(0, k, j, i + 1) -
-                                           cons(0, k, j, i - 1));
-                  double gy = 0.0, gz = 0.0;
-                  if (s.ndim >= 2)
-                      gy = 0.5 * (cons(0, k, j + 1, i) -
-                                  cons(0, k, j - 1, i));
-                  if (s.ndim >= 3)
-                      gz = 0.5 * (cons(0, k + 1, j, i) -
-                                  cons(0, k - 1, j, i));
-                  acc = std::max(acc,
-                                 std::sqrt(gx * gx + gy * gy + gz * gz));
-              });
+    parReduceAt(ctx, "Refinement::Tag", block.rank(), "FirstDerivative",
+                costs, ReduceOp::Max, max_jump, s.ks(), s.ke(), s.js(),
+                s.je(), s.is(), s.ie(),
+                [&](int k, int j, int i, double& acc) {
+                    const double gx = 0.5 * (cons(0, k, j, i + 1) -
+                                             cons(0, k, j, i - 1));
+                    double gy = 0.0, gz = 0.0;
+                    if (s.ndim >= 2)
+                        gy = 0.5 * (cons(0, k, j + 1, i) -
+                                    cons(0, k, j - 1, i));
+                    if (s.ndim >= 3)
+                        gz = 0.5 * (cons(0, k + 1, j, i) -
+                                    cons(0, k - 1, j, i));
+                    acc = std::max(
+                        acc, std::sqrt(gx * gx + gy * gy + gz * gz));
+                });
     const double indicator = config_.maxSpeed(s.ndim) * max_jump;
     if (indicator > config_.refineTol)
         return RefinementFlag::Refine;

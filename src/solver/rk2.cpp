@@ -106,16 +106,16 @@ saveState(Mesh& mesh)
     const int ncomp = mesh.registry().ncompConserved();
     const KernelCosts costs{0.0, ncomp * 2.0 * sizeof(double)};
 
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        RealArray4& cons = block->cons();
-        RealArray4& cons0 = block->cons0();
-        parForRows(ctx, "WeightedSumData", costs, s.ks(), s.ke(), s.js(),
-                   s.je(), s.is(), s.ie(), [&](int k, int j) {
-                       saveStateRow(cons, cons0, ncomp, k, j, s.is(),
-                                    s.ie());
-                   });
-    }
+    parForBlocks(ctx, mesh.ownedBlocks(), [&](int, MeshBlock& block) {
+        RealArray4& cons = block.cons();
+        RealArray4& cons0 = block.cons0();
+        parForRowsAt(ctx, "WeightedSumData", block.rank(),
+                     "WeightedSumData", costs, s.ks(), s.ke(), s.js(),
+                     s.je(), s.is(), s.ie(), [&](int k, int j) {
+                         saveStateRow(cons, cons0, ncomp, k, j, s.is(),
+                                      s.ie());
+                     });
+    });
 }
 
 void

@@ -21,6 +21,9 @@ Rule catalog (rationale lives with each rule below):
   raw-thread            no raw std::thread outside exec/ + rank_team
   task-instrumentation  task-path records use explicit (phase, rank)
                         record*At / parForAt attribution
+  ambient-rank          no setCurrentRank() in package, solver or
+                        tagger code (their sweep bodies run on pool
+                        workers)
   ordered-containers    no unordered containers / rand() where
                         iteration order can feed reduction or message
                         order
@@ -126,6 +129,28 @@ RULES = [
             "current rank, which a neighboring task may be mutating - "
             "attribution silently lands in the wrong bucket and the "
             "overlap accounting (fig14) stops being trustworthy."
+        ),
+    ),
+    Rule(
+        name="ambient-rank",
+        scope=("src/pkg/", "src/solver/", "src/driver/tagger.cpp"),
+        exempt=(),
+        pattern=r"\bsetCurrentRank\s*\(",
+        message=(
+            "no ambient-rank writes in sweep code: attribute with the "
+            "block's rank through parForAt / parReduceAt / "
+            "recordKernelAt / recordSerialAt"
+        ),
+        rationale=(
+            "Whole-mesh sweeps (parForBlocks) run each block's body on "
+            "a pool worker, concurrently with its neighbors. The "
+            "context's current rank is one shared slot: writing it "
+            "from a body is a data race, and on a classic mesh whose "
+            "owned blocks carry several modeled ranks a neighbor's "
+            "write lands this block's records on the wrong rank. The "
+            "launcher itself leaves the ambient rank on the last "
+            "block after the launch; remesh code in evolution_driver "
+            "runs at serial points and is out of scope."
         ),
     ),
     Rule(

@@ -101,7 +101,7 @@ modeledFluxBytes(int block)
     ExecContext ctx(ExecMode::Count, &profiler, &tracker);
     Mesh mesh(oneBlockConfig(block), registry, ctx);
     BurgersPackage package{BurgersConfig{}};
-    package.calculateFluxes(mesh);
+    package.calculateFluxesBlock(mesh, mesh.block(0));
     return static_cast<std::int64_t>(
         profiler.kernelByName("CalculateFluxes").bytes);
 }
@@ -123,7 +123,7 @@ BM_CalculateFluxesBlock(benchmark::State& state)
     BurgersPackage package{BurgersConfig{}};
     package.initialize(mesh, InitialCondition::Sine);
     for (auto _ : state)
-        package.calculateFluxes(mesh);
+        package.calculateFluxesBlock(mesh, mesh.block(0));
     state.SetItemsProcessed(state.iterations() * block * block * block);
     state.SetBytesProcessed(state.iterations() * modeledFluxBytes(block));
 }
@@ -164,7 +164,8 @@ BM_Rk2Stage(benchmark::State& state)
     Mesh mesh(config, registry, ctx);
     saveState(mesh);
     for (auto _ : state)
-        stage1Update(mesh, 1e-3);
+        for (MeshBlock* block : mesh.ownedBlocks())
+            stageUpdateBlock(mesh, *block, 1, 1e-3);
     state.SetItemsProcessed(state.iterations() * 32 * 32 * 32);
 }
 BENCHMARK(BM_Rk2Stage);

@@ -3,9 +3,9 @@
  * BoundaryPlan: a persistent, phase-indexed plan of all boundary work
  * for the current mesh structure.
  *
- * The plan is the communication analogue of the MeshBlockPack: where
- * the pack flattens per-block interior kernels into one fused launch,
- * the plan flattens every per-face BoundsChannel/FluxChannel of the
+ * The plan is the communication analogue of Parthenon's MeshBlockPack:
+ * where a pack flattens per-block interior kernels into one fused
+ * launch, the plan flattens every per-face BoundsChannel/FluxChannel of the
  * BoundaryBufferCache into a buffer table so that
  *
  *  - all pack/unpack (plus restrict-on-pack / prolong-on-unpack) work

@@ -58,14 +58,11 @@ EvolutionDriver::EvolutionDriver(Mesh& mesh,
 {
     dt_ = config_.fixedDt;
     // The buffer cache is rebuilt on exactly the events that stale the
-    // pack's view tables AND the boundary plan's message directory
-    // (restructure, load-balance moves); ride that hook instead of
-    // tracking remesh events separately. Both invalidations are cheap
-    // flag flips — the rebuilds happen lazily at the next serial point.
-    cache_.setRebuildHook([this] {
-        pack_.invalidate();
-        exchange_.plan().invalidate();
-    });
+    // boundary plan's message directory (restructure, load-balance
+    // moves); ride that hook instead of tracking remesh events
+    // separately. The invalidation is a cheap flag flip — the rebuild
+    // happens lazily at the next serial point.
+    cache_.setRebuildHook([this] { exchange_.plan().invalidate(); });
 }
 
 void
@@ -113,10 +110,7 @@ EvolutionDriver::initialize()
     cache_.rebuild();
     exchange_.exchangeBounds();
     exchange_.applyPhysicalBoundaries();
-    if (mesh_->config().packInterior)
-        package_->fillDerivedPack(*mesh_, ensurePack());
-    else
-        package_->fillDerived(*mesh_);
+    package_->fillDerived(*mesh_);
     // The timestep is NOT estimated here: doCycle() computes it once
     // at the top of every step. A second pre-loop estimate would
     // double-count the EstTimeMesh sweep in the profiler (and run a
@@ -279,11 +273,8 @@ EvolutionDriver::doCycle()
     {
         TraceSpan span("EstimateTimeStep", TraceCat::Driver,
                        trace_rank, cycle_);
-        dt_ = mesh_->config().packInterior
-                  ? package_->estimateTimestepPack(
-                        *mesh_, ensurePack(), *world_, config_.fixedDt)
-                  : package_->estimateTimestep(*mesh_, *world_,
-                                               config_.fixedDt);
+        dt_ = package_->estimateTimestep(*mesh_, *world_,
+                                         config_.fixedDt);
     }
 
     CycleStats stats;
@@ -402,29 +393,6 @@ EvolutionDriver::runGraph(TaskList& tl, const TaskExecOptions& options)
     cycle_idle_ += std::max(
         0.0, wall * concurrency - (comm + compute));
     cycle_critical_ += tl.criticalPathSeconds();
-}
-
-void
-EvolutionDriver::accountFused(double seconds)
-{
-    const int concurrency = mesh_->ctx().space().concurrency();
-    task_wall_seconds_ += seconds;
-    task_compute_seconds_ += seconds;
-    cycle_task_wall_ += seconds;
-    cycle_busy_ += seconds * concurrency;
-    cycle_critical_ += seconds;
-    // A fused launch yields no per-block clocks; spread its wall time
-    // evenly over the blocks it stepped so pack-mode measured costs
-    // stay well-defined (they degrade toward uniform, never to zero).
-    if (config_.lbCost == LbCostMode::Measured) {
-        const auto& owned = mesh_->ownedBlocks();
-        if (!owned.empty()) {
-            const double share =
-                seconds / static_cast<double>(owned.size());
-            for (const MeshBlock* block : owned)
-                cost_model_.addSample(block->gid(), share);
-        }
-    }
 }
 
 void
@@ -550,11 +518,6 @@ EvolutionDriver::step()
 {
     const bool fc = mesh_->config().amrLevels > 1;
 
-    if (mesh_->config().packInterior) {
-        stepPacked(fc);
-        return;
-    }
-
     saveState(*mesh_);
     for (int stage = 1; stage <= 2; ++stage) {
         TaskList tl = buildStageGraph(stage, fc);
@@ -570,74 +533,6 @@ EvolutionDriver::step()
                                : cache_.totalWireFaces();
     }
     package_->fillDerived(*mesh_);
-}
-
-MeshBlockPack&
-EvolutionDriver::ensurePack()
-{
-    pack_.ensureBuilt(*mesh_);
-    return pack_;
-}
-
-/**
- * Fused-pack timestep (paper fig05 small-block regime): ghost exchange
- * and flux correction still run as boundary-plan task graphs, but
- * every interior phase is ONE hierarchical pack launch over all blocks
- * instead of one launch (or task) per block. The chunked
- * (block x cells) domain keeps all workers loaded even when
- * num_blocks < num_threads or blocks are tiny, and the per-launch pool
- * synchronization is paid once per phase rather than once per block.
- * The tradeoff versus the per-block graph is exchange/compute
- * overlap, which the launch-overhead savings dominate exactly where
- * packing is enabled.
- *
- * Fused compute is accounted into the task wall/compute counters so
- * the fig14-style overlap arithmetic stays well-defined in pack mode.
- */
-void
-EvolutionDriver::stepPacked(bool flux_correction)
-{
-    // vibe-lint: allow(obs-isolation) fused launches run outside any
-    // task graph, so this clock is the only source of the fused
-    // compute seconds the overlap/idle accounting folds in.
-    using clock = std::chrono::steady_clock;
-    MeshBlockPack& pack = ensurePack();
-    const TaskExecOptions options = stageExecOptions();
-
-    saveStatePack(*mesh_, pack);
-    for (int stage = 1; stage <= 2; ++stage) {
-        TaskList bounds = buildBoundsGraph();
-        runGraph(bounds, options);
-
-        const auto t_flux = clock::now();
-        package_->calculateFluxesPack(*mesh_, pack);
-        double fused_seconds =
-            std::chrono::duration<double>(clock::now() - t_flux)
-                .count();
-
-        if (flux_correction) {
-            TaskList fcorr = buildFluxCorrGraph();
-            runGraph(fcorr, options);
-        }
-
-        const auto t_update = clock::now();
-        package_->fluxDivergencePack(*mesh_, pack);
-        stageUpdatePack(*mesh_, pack, stage, dt_);
-        fused_seconds +=
-            std::chrono::duration<double>(clock::now() - t_update)
-                .count();
-        accountFused(fused_seconds);
-
-        comm_cells_ += exchange_.lastWireCells();
-        boundary_messages_ += exchange_.lastBoundaryMessages();
-        boundary_bytes_ += exchange_.lastBoundaryBytes();
-        if (flux_correction)
-            comm_faces_ += mesh_->sharded()
-                               ? cache_.totalWireFacesFor(
-                                     mesh_->shardRank())
-                               : cache_.totalWireFaces();
-    }
-    package_->fillDerivedPack(*mesh_, pack);
 }
 
 TaskId
@@ -768,9 +663,10 @@ EvolutionDriver::addFusedFluxCorrTasks(TaskList& tl,
  * (fluxes -> divergence -> update). Tasks for distinct blocks touch
  * only their own block's data and the partitions write disjoint rows,
  * which is what makes threaded execution bitwise identical to the
- * serial scan. The tradeoff mirrors pack_interior: per-block
- * receive/compute overlap is traded for one kernel (and one message)
- * per phase per rank pair.
+ * serial scan. Per-block receive/compute overlap on the boundary side
+ * is traded for one message per phase per rank pair; the interior
+ * stays one task per block, the engine's only interior path (a fused
+ * launch over all blocks measured 0.86-0.98x of this graph).
  */
 TaskList
 EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
@@ -823,26 +719,6 @@ EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
             },
             {t_div, bounds.send});
     }
-    return tl;
-}
-
-TaskList
-EvolutionDriver::buildBoundsGraph()
-{
-    exchange_.plan().ensureBuilt();
-    TaskList tl;
-    tl.setLabel("plan:bounds");
-    addFusedBoundsTasks(tl);
-    return tl;
-}
-
-TaskList
-EvolutionDriver::buildFluxCorrGraph()
-{
-    exchange_.plan().ensureBuilt();
-    TaskList tl;
-    tl.setLabel("plan:flux");
-    addFusedFluxCorrTasks(tl, {});
     return tl;
 }
 

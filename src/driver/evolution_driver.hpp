@@ -26,7 +26,6 @@
 #include "driver/load_balance.hpp"
 #include "driver/tagger.hpp"
 #include "driver/task_list.hpp"
-#include "mesh/block_pack.hpp"
 #include "mesh/mesh.hpp"
 #include "pkg/package_descriptor.hpp"
 #include "solver/rk2.hpp"
@@ -252,15 +251,6 @@ class EvolutionDriver
     BoundaryBufferCache& bufferCache() { return cache_; }
     GhostExchange& exchange() { return exchange_; }
 
-    /**
-     * The fused-launch pack over the current block list (used when
-     * `MeshConfig::packInterior` is set). Invalidated automatically by
-     * the buffer-cache rebuild hook on every restructure/load-balance
-     * and rebuilt lazily, so between remeshes the view tables are
-     * reused launch after launch.
-     */
-    const MeshBlockPack& interiorPack() const { return pack_; }
-
   private:
     void step();
     /** Partitioner tuning from the driver config (every lb call). */
@@ -271,9 +261,6 @@ class EvolutionDriver
         options.costMode = config_.lbCost;
         return options;
     }
-    /** Per-stage packed interior: comm task graphs + pack launches. */
-    void stepPacked(bool flux_correction);
-    MeshBlockPack& ensurePack();
     /** Ids of the fused (boundary-plan) ghost-bounds task chain. */
     struct FusedBoundsIds
     {
@@ -307,28 +294,17 @@ class EvolutionDriver
     TaskId addFusedFluxCorrTasks(TaskList& tl, std::vector<TaskId> deps);
     /** One RK stage: fused bounds, per-block interior, fused flux. */
     TaskList buildStageGraph(int stage, bool flux_correction);
-    /** Bounds-only graph (stepPacked). */
-    TaskList buildBoundsGraph();
-    /** Flux-correction-only graph (stepPacked). */
-    TaskList buildFluxCorrGraph();
     /** Execution options for stage graphs (space + peer-wait policy). */
     TaskExecOptions stageExecOptions() const;
     /**
      * Execute one task graph and fold its timings into the run totals
      * AND the current cycle's attribution accumulators (wall, busy,
-     * idle, critical path) — the single funnel every stage graph,
-     * bounds graph and checkpoint capture goes through, so the
+     * idle, critical path) — the single funnel every stage graph and
+     * checkpoint capture goes through, so the
      * fig14 overlap columns and the obs idle attribution cannot
      * diverge. Also stamps the graph's (rank, cycle) trace identity.
      */
     void runGraph(TaskList& tl, const TaskExecOptions& options);
-    /**
-     * Account a fused pack launch (stepPacked's single-launch interior
-     * phases): launches keep every worker loaded by construction, so
-     * they contribute wall + full-concurrency busy and extend the
-     * critical path, but no idle.
-     */
-    void accountFused(double seconds);
     /** Emit the per-cycle JSONL heartbeat (metrics writer installed). */
     void emitHeartbeat(const CycleStats& stats, double cycle_wall);
     /**
@@ -365,7 +341,6 @@ class EvolutionDriver
     DriverConfig config_;
     BoundaryBufferCache cache_;
     GhostExchange exchange_;
-    MeshBlockPack pack_;
 
     std::int64_t cycle_ = 0;
     double time_ = 0;
@@ -398,8 +373,8 @@ class EvolutionDriver
     MetricsWriter* metrics_writer_ = nullptr;
     /**
      * Measured per-block cost accumulator (lb_cost = measured).
-     * Samples are harvested from every executed task graph and fused
-     * pack launch, keyed by the ":<gid>" task-name suffix.
+     * Samples are harvested from every executed task graph, keyed by
+     * the ":<gid>" task-name suffix.
      */
     BlockCostModel cost_model_;
     std::vector<CycleStats> history_;

@@ -28,7 +28,6 @@ MeshConfig::fromParams(const ParameterInput& pin)
         pin.getBool("mesh", "optimize_aux_memory", false);
     config.numThreads = pin.getInt("exec", "num_threads", 1);
     config.useMemoryPool = pin.getBool("mesh", "use_memory_pool", true);
-    config.packInterior = pin.getBool("exec", "pack_interior", false);
     config.numRanks = pin.getInt("exec", "num_ranks", 1);
     config.validate();
     return config;
@@ -123,30 +122,19 @@ Mesh::Mesh(const MeshConfig& config, const VariableRegistry& registry,
 
     if (config_.optimizeAuxMemory) {
         // §VIII-B: one shared reconstruction scratch instead of
-        // per-block copies. Physically we keep one full-block scratch;
-        // the flux kernels reconstruct in per-chunk pencil scratch and
-        // never touch it, so lending it to every block cannot race.
-        // The modeled device footprint is the per-thread-block slab
-        // formula.
-        const BlockShape shape = config_.blockShape();
-        const int ncons = registry_->ncompConserved();
-        if (ctx_->executing()) {
-            for (int d = 0; d < config_.ndim; ++d) {
-                shared_recon_l_[d] =
-                    RealArray4(ncons, shape.nk(), shape.nj(), shape.ni());
-                shared_recon_r_[d] =
-                    RealArray4(ncons, shape.nk(), shape.nj(), shape.ni());
-            }
-        }
-        // Modeled footprint: #ThreadBlocks x B x 6 x (nx1+2ng)^2 x ncomp
-        // (d = 2 post-optimization, paper §VIII-B).
+        // per-block copies. A model term only — the flux kernels
+        // reconstruct in per-chunk pencil scratch, so no storage backs
+        // it. Modeled footprint: #ThreadBlocks x B x 6 x (nx1+2ng)^2 x
+        // ncomp (d = 2 post-optimization, paper §VIII-B).
         constexpr std::size_t kThreadBlocks = 1024; // typical for H100
+        const BlockShape shape = config_.blockShape();
         const std::size_t slab = static_cast<std::size_t>(shape.ni()) *
                                  shape.ni() * sizeof(double);
-        recon_pool_bytes_ = kThreadBlocks * 6 * slab *
-                            static_cast<std::size_t>(ncons);
+        const std::size_t recon_pool_bytes =
+            kThreadBlocks * 6 * slab *
+            static_cast<std::size_t>(registry_->ncompConserved());
         if (ctx_->tracker())
-            ctx_->tracker()->allocate("mesh/recon_pool", recon_pool_bytes_);
+            ctx_->tracker()->allocate("mesh/recon_pool", recon_pool_bytes);
     }
 
     for (const auto& loc : tree_.leavesZOrder())
@@ -169,15 +157,8 @@ Mesh::makeBlock(const LogicalLocation& loc)
     // materializes the owned ones.
     auto block = std::make_unique<MeshBlock>(
         loc, config_.blockShape(), geometryFor(loc), *registry_, *ctx_,
-        /*own_recon=*/!config_.optimizeAuxMemory, pool_.get(),
+        /*per_block_recon=*/!config_.optimizeAuxMemory, pool_.get(),
         /*shadow=*/sharded());
-    if (!sharded() && config_.optimizeAuxMemory && ctx_->executing()) {
-        RealArray4* l[3] = {&shared_recon_l_[0], &shared_recon_l_[1],
-                            &shared_recon_l_[2]};
-        RealArray4* r[3] = {&shared_recon_r_[0], &shared_recon_r_[1],
-                            &shared_recon_r_[2]};
-        block->lendRecon(l, r);
-    }
     return block;
 }
 
@@ -188,13 +169,6 @@ Mesh::realizeBlock(MeshBlock& block)
         block.mode() != DataMode::Shadow)
         return;
     block.materialize(*ctx_, pool_.get());
-    if (config_.optimizeAuxMemory && ctx_->executing()) {
-        RealArray4* l[3] = {&shared_recon_l_[0], &shared_recon_l_[1],
-                            &shared_recon_l_[2]};
-        RealArray4* r[3] = {&shared_recon_r_[0], &shared_recon_r_[1],
-                            &shared_recon_r_[2]};
-        block.lendRecon(l, r);
-    }
 }
 
 std::vector<MeshBlock*>

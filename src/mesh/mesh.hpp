@@ -39,7 +39,7 @@ struct MeshConfig
     int amrLevels = 3;
     bool periodic = true;
     double x1min = 0.0, x1max = 1.0;      ///< Cubic domain extent.
-    /** Use the §VIII-B shared reconstruction scratch layout. */
+    /** Model the §VIII-B shared reconstruction scratch layout. */
     bool optimizeAuxMemory = false;
     /**
      * Host threads for kernel execution (`<exec> num_threads` in the
@@ -58,16 +58,6 @@ struct MeshConfig
      * invisible — state-carrying arrays are still cleared on adopt.
      */
     bool useMemoryPool = true;
-    /**
-     * Fuse interior compute into MeshBlockPack launches over all
-     * blocks (`<exec> pack_interior`): one hierarchical kernel per
-     * phase instead of one launch per block, the Parthenon
-     * MeshBlockPack strategy (Grete et al. 2022). Results are bitwise
-     * identical to per-block launches; the tradeoff is per-block
-     * exchange/compute overlap versus per-block launch overhead, so
-     * it wins exactly in the small-block regime of fig05.
-     */
-    bool packInterior = false;
     /**
      * Simulated MPI ranks executing concurrently (`<exec> num_ranks`):
      * 1 runs the classic single-driver loop; >1 selects rank-sharded
@@ -273,10 +263,6 @@ class Mesh
     std::unordered_map<LogicalLocation, int, LogicalLocationHash>
         loc_to_gid_;
     std::vector<std::vector<NeighborBlock>> neighbor_lists_;
-
-    /** Shared reconstruction scratch (§VIII-B layout), if enabled. */
-    RealArray4 shared_recon_l_[3], shared_recon_r_[3];
-    std::size_t recon_pool_bytes_ = 0;
 };
 
 } // namespace vibe

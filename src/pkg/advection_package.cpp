@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "exec/par_for.hpp"
-#include "mesh/block_pack.hpp"
 #include "pkg/fv_ops.hpp"
 #include "util/logging.hpp"
 
@@ -145,22 +144,9 @@ AdvectionPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
 }
 
 void
-AdvectionPackage::calculateFluxesPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    const double vel[3] = {config_.vx, config_.vy, config_.vz};
-    fvUpwindFluxesPack(mesh, pack, config_.recon, vel);
-}
-
-void
 AdvectionPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
 {
     fvFluxDivergenceBlock(mesh, block);
-}
-
-void
-AdvectionPackage::fluxDivergencePack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    fvFluxDivergencePack(mesh, pack);
 }
 
 void
@@ -188,34 +174,6 @@ AdvectionPackage::fillDerived(Mesh& mesh) const
                      derived(0, k, j, i) = 0.5 * phi * phi;
                  });
     });
-}
-
-void
-AdvectionPackage::fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "FillDerived");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{2.0, 2.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    const double lookups =
-        static_cast<double>(mesh.registry().all().size());
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "FillDerived", pack.ranks()[b],
-                       "string_lookup", lookups);
-
-    parForPack(ctx, "FillDerived", "CalculateDerived", costs,
-               pack.ranks(), nb, 0, 0, s.ks(), s.ke(), s.js(), s.je(),
-               s.is(), s.ie(), [&](int, int b, int, int k, int j) {
-                   BlockPackView& v = pack.view(b);
-                   const RealArray4& cons = *v.cons;
-                   RealArray4& derived = *v.derived;
-                   for (int i = s.is(); i <= s.ie(); ++i) {
-                       const double phi = cons(0, k, j, i);
-                       derived(0, k, j, i) = 0.5 * phi * phi;
-                   }
-               });
 }
 
 double
@@ -258,47 +216,6 @@ AdvectionPackage::estimateTimestep(Mesh& mesh, RankWorld& world,
         dt = std::min(dt, value);
     // Global min across ranks: exact under any combination order, so
     // the collective dt is bitwise the 1-rank dt.
-    dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
-                              sizeof(double));
-    recordSerial(ctx, "collective", 1.0);
-    return config_.cfl * dt;
-}
-
-double
-AdvectionPackage::estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                       RankWorld& world,
-                                       double fallback_dt) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "EstimateTimestep");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{10.0, 3.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    double dt = fallback_dt / config_.cfl;
-    parReducePack(
-        ctx, "EstimateTimestep", "EstTimeMesh", costs, ReduceOp::Min,
-        dt, pack.ranks(), nb, s.ks(), s.ke(), s.js(), s.je(), s.is(),
-        s.ie(), [&](int b, int, int, double& acc) {
-            BlockPackView& v = pack.view(b);
-            for (int i = s.is(); i <= s.ie(); ++i) {
-                constexpr double tiny = 1e-12;
-                double cell_dt =
-                    v.dx1 / (std::fabs(config_.vx) + tiny);
-                if (s.ndim >= 2)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx2 / (std::fabs(config_.vy) + tiny));
-                if (s.ndim >= 3)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx3 / (std::fabs(config_.vz) + tiny));
-                acc = std::min(acc, cell_dt);
-            }
-        });
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "EstimateTimestep", pack.ranks()[b],
-                       "dt_reduce", 1.0);
     dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
                               sizeof(double));
     recordSerial(ctx, "collective", 1.0);

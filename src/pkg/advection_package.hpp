@@ -106,32 +106,19 @@ class AdvectionPackage : public PackageDescriptor
     void calculateFluxesBlock(Mesh& mesh,
                               MeshBlock& block) const override;
 
-    /** Fused-pack reconstruction + upwind fluxes (same row kernel). */
-    void calculateFluxesPack(Mesh& mesh,
-                             MeshBlockPack& pack) const override;
-
     void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
-
-    void fluxDivergencePack(Mesh& mesh,
-                            MeshBlockPack& pack) const override;
 
     /** e = 0.5 phi^2 (kernel "CalculateDerived"). */
     void fillDerived(Mesh& mesh) const override;
 
-    void fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const override;
-
     /**
      * CFL timestep from the constant characteristic speeds (kernel
      * "EstTimeMesh"): the reduction sweep runs like every package's so
-     * counting-mode work and fused-launch accounting stay comparable,
-     * even though the speeds are uniform.
+     * counting-mode work stays comparable, even though the speeds are
+     * uniform.
      */
     double estimateTimestep(Mesh& mesh, RankWorld& world,
                             double fallback_dt) const override;
-
-    double estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                RankWorld& world,
-                                double fallback_dt) const override;
 
     /** Total phi mass (kernel "MassHistory") — conserved to round-off
      *  by the flux-corrected scheme. */

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "exec/par_for.hpp"
-#include "mesh/block_pack.hpp"
 #include "pkg/fv_ops.hpp"
 #include "solver/riemann.hpp"
 #include "util/logging.hpp"
@@ -18,8 +17,7 @@ namespace {
  * direction d, in one pass: every component's left and right states
  * are reconstructed into `scratch` (component-major, 2 * ncomp * nface
  * doubles — a few KB, so it stays in L1), then the HLL pencil solves
- * the row one component at a time into flux(m, k, j, fis..fie). Shared
- * by the per-block and pack launch bodies.
+ * the row one component at a time into flux(m, k, j, fis..fie).
  */
 inline void
 hllFluxRow(const RealArray4& cons, RealArray4& flux, ReconMethod recon,
@@ -229,49 +227,9 @@ BurgersPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
 }
 
 void
-BurgersPackage::calculateFluxesPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const int nb = pack.numBlocks();
-    recordPackKernel(ctx, "CalculateFluxes", "CalculateFluxes",
-                     hllFluxCosts(config_.recon, s.ndim, ncomp),
-                     pack.ranks(), nb,
-                     static_cast<double>(s.interiorCells()),
-                     static_cast<double>(s.nx1));
-    if (!ctx.executing())
-        return;
-
-    const std::size_t per_chunk =
-        2 * static_cast<std::size_t>(ncomp) * (s.nx1 + 1);
-    double* const scratch_base = pencilScratch(ctx, per_chunk);
-    for (int d = 0; d < s.ndim; ++d) {
-        const int fis = s.is(), fie = s.ie() + (d == 0);
-        const int fjs = s.js(), fje = s.je() + (d == 1);
-        const int fks = s.ks(), fke = s.ke() + (d == 2);
-        // One fused launch over (b, k, j) face rows, running the same
-        // row kernel as the per-block path.
-        parForPackExec(ctx, nb, 0, 0, fks, fke, fjs, fje,
-                       [&](int chunk, int b, int, int k, int j) {
-                           BlockPackView& v = pack.view(b);
-                           hllFluxRow(*v.cons, *v.flux[d], config_.recon,
-                                      d, ncomp, k, j, fis, fie,
-                                      scratch_base + chunk * per_chunk);
-                       });
-    }
-}
-
-void
 BurgersPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
 {
     fvFluxDivergenceBlock(mesh, block);
-}
-
-void
-BurgersPackage::fluxDivergencePack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    fvFluxDivergencePack(mesh, pack);
 }
 
 void
@@ -303,40 +261,6 @@ BurgersPackage::fillDerived(Mesh& mesh) const
                          0.5 * q0 * (u1 * u1 + u2 * u2 + u3 * u3);
                  });
     });
-}
-
-void
-BurgersPackage::fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "FillDerived");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{6.0, 6.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    // The string-keyed variable extraction happens once per block
-    // regardless of launch fusion (§VIII-A serial overhead).
-    const double lookups =
-        static_cast<double>(mesh.registry().all().size());
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "FillDerived", pack.ranks()[b],
-                       "string_lookup", lookups);
-
-    parForPack(ctx, "FillDerived", "CalculateDerived", costs,
-               pack.ranks(), nb, 0, 0, s.ks(), s.ke(), s.js(), s.je(),
-               s.is(), s.ie(), [&](int, int b, int, int k, int j) {
-                   BlockPackView& v = pack.view(b);
-                   const RealArray4& cons = *v.cons;
-                   RealArray4& derived = *v.derived;
-                   for (int i = s.is(); i <= s.ie(); ++i) {
-                       const double u1 = cons(0, k, j, i);
-                       const double u2 = cons(1, k, j, i);
-                       const double u3 = cons(2, k, j, i);
-                       const double q0 = cons(3, k, j, i);
-                       derived(0, k, j, i) =
-                           0.5 * q0 * (u1 * u1 + u2 * u2 + u3 * u3);
-                   }
-               });
 }
 
 double
@@ -381,52 +305,6 @@ BurgersPackage::estimateTimestep(Mesh& mesh, RankWorld& world,
     // Global min across ranks: a real rendezvous on a rank team (min
     // is exact under any combination order, so the collective dt is
     // bitwise the 1-rank dt), accounting-only on the classic path.
-    dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
-                              sizeof(double));
-    recordSerial(ctx, "collective", 1.0);
-    return config_.cfl * dt;
-}
-
-double
-BurgersPackage::estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                     RankWorld& world,
-                                     double fallback_dt) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "EstimateTimestep");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{10.0, 3.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    // Single chunk-ordered min over the packed cell domain: exact
-    // under any chunking, so the dt matches the per-block reduction
-    // sequence bit for bit.
-    double dt = fallback_dt / config_.cfl;
-    parReducePack(
-        ctx, "EstimateTimestep", "EstTimeMesh", costs, ReduceOp::Min,
-        dt, pack.ranks(), nb, s.ks(), s.ke(), s.js(), s.je(), s.is(),
-        s.ie(), [&](int b, int k, int j, double& acc) {
-            BlockPackView& v = pack.view(b);
-            const RealArray4& cons = *v.cons;
-            for (int i = s.is(); i <= s.ie(); ++i) {
-                constexpr double tiny = 1e-12;
-                double cell_dt =
-                    v.dx1 / (std::fabs(cons(0, k, j, i)) + tiny);
-                if (s.ndim >= 2)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx2 / (std::fabs(cons(1, k, j, i)) + tiny));
-                if (s.ndim >= 3)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx3 / (std::fabs(cons(2, k, j, i)) + tiny));
-                acc = std::min(acc, cell_dt);
-            }
-        });
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "EstimateTimestep", pack.ranks()[b],
-                       "dt_reduce", 1.0);
-    // Global min across ranks (exact; see estimateTimestep).
     dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
                               sizeof(double));
     recordSerial(ctx, "collective", 1.0);

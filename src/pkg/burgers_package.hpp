@@ -105,27 +105,11 @@ class BurgersPackage : public PackageDescriptor
     void calculateFluxesBlock(Mesh& mesh,
                               MeshBlock& block) const override;
 
-    /**
-     * Fused-pack reconstruction + fluxes: one hierarchical launch over
-     * the packed (block, k, j) face rows per direction instead of one
-     * launch per block, running the same row kernel as the per-block
-     * path, so the two are bitwise identical on every backend.
-     */
-    void calculateFluxesPack(Mesh& mesh,
-                             MeshBlockPack& pack) const override;
-
     /** Flux divergence for one block (kernel "FluxDivergence"). */
     void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
 
-    /** Fused-pack flux divergence over all blocks (one launch). */
-    void fluxDivergencePack(Mesh& mesh,
-                            MeshBlockPack& pack) const override;
-
     /** d = 0.5 q0 u.u (kernel "CalculateDerived"). */
     void fillDerived(Mesh& mesh) const override;
-
-    /** Fused-pack derived fill over all blocks (one launch). */
-    void fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const override;
 
     /**
      * CFL timestep: local min reduction (kernel "EstTimeMesh") followed
@@ -133,15 +117,6 @@ class BurgersPackage : public PackageDescriptor
      */
     double estimateTimestep(Mesh& mesh, RankWorld& world,
                             double fallback_dt) const override;
-
-    /**
-     * Fused-pack CFL timestep: one chunk-ordered min reduction over
-     * the packed cell domain (exact under any chunking, so the dt is
-     * bit-identical to the per-block reduction sequence).
-     */
-    double estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                RankWorld& world,
-                                double fallback_dt) const override;
 
     /**
      * History reduction: total q0 mass (kernel "MassHistory") plus an

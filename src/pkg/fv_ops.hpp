@@ -5,10 +5,9 @@
  * The flux-divergence update dudt = -div(flux) depends only on the
  * face fluxes a package already computed — not on the PDE — so every
  * package delegates here, as do the linear packages for their exact
- * upwind fluxes. One definition means the per-block task path and the
- * fused pack path can never diverge between packages, and the
- * bitwise-equivalence guarantees proved for one package transfer to
- * the others.
+ * upwind fluxes. One definition means packages can never diverge, and
+ * the bitwise-equivalence guarantees proved for one package transfer
+ * to the others.
  *
  * Every operator here is a row kernel: one (k, j) row per body call,
  * components outer and a unit-stride i loop inner, with each array's
@@ -22,7 +21,6 @@
 #include <cstddef>
 
 #include "exec/par_for.hpp"
-#include "mesh/block_pack.hpp"
 #include "mesh/mesh.hpp"
 #include "solver/reconstruct.hpp"
 
@@ -115,37 +113,6 @@ fvUpwindFluxesBlock(Mesh& mesh, MeshBlock& block, ReconMethod recon,
     }
 }
 
-/** Fused-pack upwind fluxes: one launch over (b, k, j) face rows per
- *  direction, the same row kernel as the per-block path. */
-inline void
-fvUpwindFluxesPack(Mesh& mesh, MeshBlockPack& pack, ReconMethod recon,
-                   const double (&vel)[3])
-{
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const int nb = pack.numBlocks();
-    recordPackKernel(ctx, "CalculateFluxes", "CalculateFluxes",
-                     upwindFluxCosts(recon, s.ndim, ncomp), pack.ranks(),
-                     nb, static_cast<double>(s.interiorCells()),
-                     static_cast<double>(s.nx1));
-    if (!ctx.executing())
-        return;
-
-    for (int d = 0; d < s.ndim; ++d) {
-        const int fis = s.is(), fie = s.ie() + (d == 0);
-        const int fjs = s.js(), fje = s.je() + (d == 1);
-        const int fks = s.ks(), fke = s.ke() + (d == 2);
-        parForPackExec(ctx, nb, 0, 0, fks, fke, fjs, fje,
-                       [&](int, int b, int, int k, int j) {
-                           BlockPackView& v = pack.view(b);
-                           upwindFluxRow(*v.cons, *v.flux[d], recon,
-                                         vel[d], d, ncomp, k, j, fis,
-                                         fie);
-                       });
-    }
-}
-
 namespace detail {
 
 template <int NDim>
@@ -231,26 +198,6 @@ fvFluxDivergenceBlock(Mesh& mesh, MeshBlock& block)
                      fvDivergenceRow(fx, fy, fz, dudt, inv_dx, s.ndim,
                                      ncomp, k, j, s.is(), s.ie());
                  });
-}
-
-/** Fused-pack dudt = -div(flux) over all blocks (one launch). */
-inline void
-fvFluxDivergencePack(Mesh& mesh, MeshBlockPack& pack)
-{
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-
-    parForPack(
-        ctx, "FluxDivergence", "FluxDivergence",
-        fluxDivergenceCosts(s.ndim, ncomp), pack.ranks(),
-        pack.numBlocks(), 0, 0, s.ks(), s.ke(), s.js(), s.je(), s.is(),
-        s.ie(), [&](int, int b, int, int k, int j) {
-            BlockPackView& v = pack.view(b);
-            const double inv_dx[3] = {v.invDx1, v.invDx2, v.invDx3};
-            fvDivergenceRow(*v.flux[0], *v.flux[1], *v.flux[2], *v.dudt,
-                            inv_dx, s.ndim, ncomp, k, j, s.is(), s.ie());
-        });
 }
 
 } // namespace vibe

@@ -8,19 +8,26 @@
  * variables (names, component counts, metadata flags) and registers
  * callbacks for fluxes, derived fields, timestep estimation, refinement
  * tagging and initial conditions; the driver, mesh, ghost exchange,
- * flux correction, load balancer and pack machinery never mention the
- * PDE. This header is our equivalent. EvolutionDriver, TaskList,
- * GradientTagger, MeshBlockPack and Experiment consume only this
+ * flux correction and load balancer never mention the PDE. This header
+ * is our equivalent. EvolutionDriver, TaskList, GradientTagger and
+ * Experiment consume only this
  * interface (plus PackageRegistry for deck selection); concrete
  * physics lives in pkg/burgers_package.* and pkg/advection_package.*.
+ *
+ * Callbacks come in two kinds: per-block stage callbacks (`*Block`),
+ * which the driver runs as one task per owned block in each RK stage's
+ * task graph, and whole-mesh cycle sweeps (`fillDerived`,
+ * `estimateTimestep`, `massHistory`), each one `parForBlocks` launch
+ * over the owned blocks.
  *
  * Contract notes, enforced by the equivalence tests:
  * - Block-granularity callbacks (`*Block`) may run concurrently for
  *   distinct blocks and must touch only that block's data, so the
  *   task-graph executor can interleave them with ghost exchange.
- * - `*Pack` variants must be bitwise identical to the per-block loop
- *   on every execution space (fused launches reorder work across
- *   blocks; they must not reorder arithmetic within a cell).
+ * - Whole-mesh sweeps run their per-block bodies on pool workers:
+ *   they attribute work to `block.rank()` explicitly and fold
+ *   per-block results in owned order, so they are bitwise identical
+ *   to a loop of per-block launches at the same thread count.
  * - In counting mode (`!ctx.executing()`) callbacks record kernel
  *   costs but skip bodies; results must not be read.
  */
@@ -30,8 +37,6 @@
 #include "mesh/mesh.hpp"
 
 namespace vibe {
-
-class MeshBlockPack;
 
 /** One block's contribution to a history reduction (wire format). */
 struct BlockPartial
@@ -83,9 +88,6 @@ class PackageDescriptor
     virtual void initializeBlock(const ExecContext& ctx,
                                  MeshBlock& block) const = 0;
 
-    /** Reconstruction + Riemann fluxes on every block. */
-    virtual void calculateFluxes(Mesh& mesh) const;
-
     /**
      * Reconstruction + fluxes for one block (task-graph node). Reads
      * only the block's own data; face states live in per-chunk pencil
@@ -95,31 +97,12 @@ class PackageDescriptor
     virtual void calculateFluxesBlock(Mesh& mesh,
                                       MeshBlock& block) const = 0;
 
-    /**
-     * Fused-pack reconstruction + fluxes: one hierarchical launch over
-     * the packed (block, k, j) face rows per direction, running the
-     * same row kernel as the per-block callback.
-     */
-    virtual void calculateFluxesPack(Mesh& mesh,
-                                     MeshBlockPack& pack) const = 0;
-
-    /** dudt = -div(flux) on every block. */
-    virtual void fluxDivergence(Mesh& mesh) const;
-
     /** Flux divergence for one block (task-graph node). */
     virtual void fluxDivergenceBlock(Mesh& mesh,
                                      MeshBlock& block) const = 0;
 
-    /** Fused-pack flux divergence over all blocks (one launch). */
-    virtual void fluxDivergencePack(Mesh& mesh,
-                                    MeshBlockPack& pack) const = 0;
-
     /** Recompute Derived fields from conserved state. */
     virtual void fillDerived(Mesh& mesh) const = 0;
-
-    /** Fused-pack derived fill over all blocks (one launch). */
-    virtual void fillDerivedPack(Mesh& mesh,
-                                 MeshBlockPack& pack) const = 0;
 
     /**
      * CFL timestep: local min reduction followed by a rank AllReduce.
@@ -127,14 +110,6 @@ class PackageDescriptor
      */
     virtual double estimateTimestep(Mesh& mesh, RankWorld& world,
                                     double fallback_dt) const = 0;
-
-    /**
-     * Fused-pack CFL timestep: one chunk-ordered min reduction over
-     * the packed cell domain, bit-identical to the per-block sequence.
-     */
-    virtual double estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                        RankWorld& world,
-                                        double fallback_dt) const = 0;
 
     /**
      * Per-cycle history reduction (the conserved "mass" the driver

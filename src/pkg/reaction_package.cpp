@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "exec/par_for.hpp"
-#include "mesh/block_pack.hpp"
 #include "pkg/fv_ops.hpp"
 #include "util/logging.hpp"
 
@@ -83,7 +82,6 @@ equilibriumValue(const ReactionConfig& config, double a, int* iters_out)
  * (a - c_eq(a)) moves reservoir into product; antisymmetric, so each
  * cell conserves a + b exactly. Pure function of local state — no
  * cross-cell accumulation — so any loop chunking is bitwise identical.
- * Shared by the per-block and pack launch bodies.
  */
 inline void
 sourceRow(const ReactionConfig& config, const RealArray4& cons,
@@ -200,13 +198,6 @@ ReactionPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
 }
 
 void
-ReactionPackage::calculateFluxesPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    const double vel[3] = {config_.vx, config_.vy, config_.vz};
-    fvUpwindFluxesPack(mesh, pack, config_.recon, vel);
-}
-
-void
 ReactionPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
 {
     fvFluxDivergenceBlock(mesh, block);
@@ -226,29 +217,6 @@ ReactionPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
                    [&](int, int k, int j) {
                        sourceRow(config_, cons, dudt, k, j, s.is(),
                                  s.ie());
-                   });
-}
-
-void
-ReactionPackage::fluxDivergencePack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    fvFluxDivergencePack(mesh, pack);
-
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int nb = pack.numBlocks();
-    recordPackKernel(ctx, "FluxDivergence", "ReactionSource",
-                     kSourceCosts, pack.ranks(), nb,
-                     static_cast<double>(s.interiorCells()),
-                     static_cast<double>(s.nx1));
-    if (!ctx.executing())
-        return;
-
-    parForPackExec(ctx, nb, 0, 0, s.ks(), s.ke(), s.js(), s.je(),
-                   [&](int, int b, int, int k, int j) {
-                       BlockPackView& v = pack.view(b);
-                       sourceRow(config_, *v.cons, *v.dudt, k, j,
-                                 s.is(), s.ie());
                    });
 }
 
@@ -275,33 +243,6 @@ ReactionPackage::fillDerived(Mesh& mesh) const
                          cons(0, k, j, i) * cons(1, k, j, i);
                  });
     });
-}
-
-void
-ReactionPackage::fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "FillDerived");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{1.0, 3.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    const double lookups =
-        static_cast<double>(mesh.registry().all().size());
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "FillDerived", pack.ranks()[b],
-                       "string_lookup", lookups);
-
-    parForPack(ctx, "FillDerived", "CalculateDerived", costs,
-               pack.ranks(), nb, 0, 0, s.ks(), s.ke(), s.js(), s.je(),
-               s.is(), s.ie(), [&](int, int b, int, int k, int j) {
-                   BlockPackView& v = pack.view(b);
-                   const RealArray4& cons = *v.cons;
-                   RealArray4& derived = *v.derived;
-                   for (int i = s.is(); i <= s.ie(); ++i)
-                       derived(0, k, j, i) =
-                           cons(0, k, j, i) * cons(1, k, j, i);
-               });
 }
 
 double
@@ -348,48 +289,6 @@ ReactionPackage::estimateTimestep(Mesh& mesh, RankWorld& world,
     // Explicit source stability: the relaxation removes at most
     // rate * a per unit time, so keep dt * rate <= 1/2. A constant cap
     // on every rank — no extra collective needed.
-    return std::min(config_.cfl * dt,
-                    0.5 / std::max(config_.rate, 1e-12));
-}
-
-double
-ReactionPackage::estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                      RankWorld& world,
-                                      double fallback_dt) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "EstimateTimestep");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{10.0, 3.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    double dt = fallback_dt / config_.cfl;
-    parReducePack(
-        ctx, "EstimateTimestep", "EstTimeMesh", costs, ReduceOp::Min,
-        dt, pack.ranks(), nb, s.ks(), s.ke(), s.js(), s.je(), s.is(),
-        s.ie(), [&](int b, int, int, double& acc) {
-            BlockPackView& v = pack.view(b);
-            for (int i = s.is(); i <= s.ie(); ++i) {
-                constexpr double tiny = 1e-12;
-                double cell_dt =
-                    v.dx1 / (std::fabs(config_.vx) + tiny);
-                if (s.ndim >= 2)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx2 / (std::fabs(config_.vy) + tiny));
-                if (s.ndim >= 3)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx3 / (std::fabs(config_.vz) + tiny));
-                acc = std::min(acc, cell_dt);
-            }
-        });
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "EstimateTimestep", pack.ranks()[b],
-                       "dt_reduce", 1.0);
-    dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
-                              sizeof(double));
-    recordSerial(ctx, "collective", 1.0);
     return std::min(config_.cfl * dt,
                     0.5 / std::max(config_.rate, 1e-12));
 }

@@ -111,9 +111,6 @@ class ReactionPackage : public PackageDescriptor
     void calculateFluxesBlock(Mesh& mesh,
                               MeshBlock& block) const override;
 
-    void calculateFluxesPack(Mesh& mesh,
-                             MeshBlockPack& pack) const override;
-
     /**
      * dudt = -div(flux) plus the stiff source (kernels
      * "FluxDivergence" + "ReactionSource"): the per-cell equilibrium
@@ -123,13 +120,8 @@ class ReactionPackage : public PackageDescriptor
      */
     void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
 
-    void fluxDivergencePack(Mesh& mesh,
-                            MeshBlockPack& pack) const override;
-
     /** chem_rate = a * b (kernel "CalculateDerived"). */
     void fillDerived(Mesh& mesh) const override;
-
-    void fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const override;
 
     /**
      * Advective CFL timestep, additionally capped at 0.5/rate so the
@@ -137,10 +129,6 @@ class ReactionPackage : public PackageDescriptor
      */
     double estimateTimestep(Mesh& mesh, RankWorld& world,
                             double fallback_dt) const override;
-
-    double estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                RankWorld& world,
-                                double fallback_dt) const override;
 
     /** Total (a + b) mass — conserved to round-off: the transport is
      *  flux-corrected and the source is antisymmetric per cell. */

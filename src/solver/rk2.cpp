@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "exec/par_for.hpp"
-#include "mesh/block_pack.hpp"
 
 namespace vibe {
 
@@ -62,39 +61,6 @@ weightedSumBlock(Mesh& mesh, MeshBlock& block, double wa, double wb,
                  });
 }
 
-/** Whole-mesh form: one weighted sum per block. */
-void
-weightedSum(Mesh& mesh, double wa, double wb, double wc, double dt)
-{
-    for (MeshBlock* block : mesh.ownedBlocks())
-        weightedSumBlock(mesh, *block, wa, wb, wc, dt);
-}
-
-/** Fused-pack form: one launch over the packed cell domain. */
-void
-weightedSumPack(Mesh& mesh, MeshBlockPack& pack, double wa, double wb,
-                double wc, double dt)
-{
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const KernelCosts costs{ncomp * 5.0, ncomp * 4.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    const double lookups =
-        static_cast<double>(mesh.registry().all().size());
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "WeightedSumData", pack.ranks()[b],
-                       "string_lookup", lookups);
-    parForPack(ctx, "WeightedSumData", "WeightedSumData", costs,
-               pack.ranks(), nb, 0, 0, s.ks(), s.ke(), s.js(), s.je(),
-               s.is(), s.ie(), [&](int, int b, int, int k, int j) {
-                   BlockPackView& v = pack.view(b);
-                   weightedSumRow(*v.cons, *v.cons0, *v.dudt, wa, wb, wc,
-                                  dt, ncomp, k, j, s.is(), s.ie());
-               });
-}
-
 } // namespace
 
 void
@@ -119,51 +85,12 @@ saveState(Mesh& mesh)
 }
 
 void
-stage1Update(Mesh& mesh, double dt)
-{
-    weightedSum(mesh, 1.0, 0.0, 1.0, dt);
-}
-
-void
-stage2Update(Mesh& mesh, double dt)
-{
-    weightedSum(mesh, 0.5, 0.5, 0.5, dt);
-}
-
-void
 stageUpdateBlock(Mesh& mesh, MeshBlock& block, int stage, double dt)
 {
     if (stage == 1)
         weightedSumBlock(mesh, block, 1.0, 0.0, 1.0, dt);
     else
         weightedSumBlock(mesh, block, 0.5, 0.5, 0.5, dt);
-}
-
-void
-saveStatePack(Mesh& mesh, MeshBlockPack& pack)
-{
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const KernelCosts costs{0.0, ncomp * 2.0 * sizeof(double)};
-
-    parForPack(ctx, "WeightedSumData", "WeightedSumData", costs,
-               pack.ranks(), pack.numBlocks(), 0, 0, s.ks(), s.ke(),
-               s.js(), s.je(), s.is(), s.ie(),
-               [&](int, int b, int, int k, int j) {
-                   BlockPackView& v = pack.view(b);
-                   saveStateRow(*v.cons, *v.cons0, ncomp, k, j, s.is(),
-                                s.ie());
-               });
-}
-
-void
-stageUpdatePack(Mesh& mesh, MeshBlockPack& pack, int stage, double dt)
-{
-    if (stage == 1)
-        weightedSumPack(mesh, pack, 1.0, 0.0, 1.0, dt);
-    else
-        weightedSumPack(mesh, pack, 0.5, 0.5, 0.5, dt);
 }
 
 } // namespace vibe

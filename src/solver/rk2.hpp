@@ -19,27 +19,13 @@ namespace vibe {
 /** Copy the current state into the step-start register (u0 <- u). */
 void saveState(Mesh& mesh);
 
-/** First RK2 stage: u <- u0 + dt * dudt. */
-void stage1Update(Mesh& mesh, double dt);
-
-/** Second RK2 stage: u <- 0.5 u0 + 0.5 u + 0.5 dt * dudt. */
-void stage2Update(Mesh& mesh, double dt);
-
 /**
- * RK2 stage update (1 or 2) for one block — the task-graph node form.
+ * RK2 stage update for one block — the task-graph node form. Stage 1:
+ * u <- u0 + dt * dudt; stage 2: u <- 0.5 u0 + 0.5 u + 0.5 dt * dudt.
  * Touches only the block's own registers, so distinct blocks may run
  * concurrently.
  */
 void stageUpdateBlock(Mesh& mesh, MeshBlock& block, int stage,
                       double dt);
-
-class MeshBlockPack;
-
-/** Fused-pack u0 <- u copy over all blocks (one launch). */
-void saveStatePack(Mesh& mesh, MeshBlockPack& pack);
-
-/** Fused-pack RK2 stage update over all blocks (one launch). */
-void stageUpdatePack(Mesh& mesh, MeshBlockPack& pack, int stage,
-                     double dt);
 
 } // namespace vibe

@@ -23,7 +23,7 @@ trim(const std::string& s)
 
 /**
  * Knobs each recognized deck block accepts. A typo inside one of
- * these blocks (`<exec> pack_interor = true`) is fatal at parse time
+ * these blocks (`<exec> num_thread = 4`) is fatal at parse time
  * instead of silently selecting the default; unrecognized block names
  * pass through untouched so applications can carry their own
  * sections. Keep in sync with the fromParams readers (MeshConfig,
@@ -41,8 +41,7 @@ knownKnobs()
          {"num_levels", "derefine_gap", "refine_every", "lb_every",
           "lb_cost", "lb_imbalance_trigger"}},
         {"exec",
-         {"num_threads", "pack_interior", "num_ranks", "fail_rank",
-          "fail_cycle"}},
+         {"num_threads", "num_ranks", "fail_rank", "fail_cycle"}},
         {"driver",
          {"ncycles", "tlim", "fixed_dt", "checkpoint_every",
           "checkpoint_path", "checkpoint_async"}},

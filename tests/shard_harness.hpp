@@ -33,8 +33,7 @@ namespace vibe {
 namespace shard_test {
 
 inline MeshConfig
-shardMeshConfig(int num_ranks, int num_threads, bool pack_interior,
-                int amr_levels = 2)
+shardMeshConfig(int num_ranks, int num_threads, int amr_levels = 2)
 {
     MeshConfig config;
     config.nx1 = config.nx2 = config.nx3 = 16;
@@ -42,7 +41,6 @@ shardMeshConfig(int num_ranks, int num_threads, bool pack_interior,
     config.amrLevels = amr_levels;
     config.numThreads = num_threads;
     config.numRanks = num_ranks;
-    config.packInterior = pack_interior;
     return config;
 }
 
@@ -118,8 +116,7 @@ captureBlock(const MeshBlock& block, ShardRun* out)
 /** Classic single-driver run (the 1-rank baseline). */
 inline ShardRun
 runClassic(const std::string& package_name, int num_threads,
-           int lb_every = 1, bool pack_interior = false,
-           int amr_levels = 2)
+           int lb_every = 1, int amr_levels = 2)
 {
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
@@ -128,7 +125,7 @@ runClassic(const std::string& package_name, int num_threads,
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(num_threads));
     Mesh mesh(
-        shardMeshConfig(1, num_threads, pack_interior, amr_levels),
+        shardMeshConfig(1, num_threads, amr_levels),
         registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
@@ -148,14 +145,12 @@ runClassic(const std::string& package_name, int num_threads,
 /** Rank-team run; state gathered from each block's owner replica. */
 inline ShardRun
 runTeam(const std::string& package_name, int num_ranks, int num_threads,
-        int lb_every = 1, bool pack_interior = false,
-        int amr_levels = 2)
+        int lb_every = 1, int amr_levels = 2)
 {
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
     RankTeam team(
-        shardMeshConfig(num_ranks, num_threads, pack_interior,
-                        amr_levels),
+        shardMeshConfig(num_ranks, num_threads, amr_levels),
         registry, *package, shardDriverConfig(lb_every), [](int) {
             return std::make_unique<SphericalWaveTagger>(
                 shardWaveParams());

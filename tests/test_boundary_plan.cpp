@@ -69,7 +69,7 @@ struct PlanFixture
 
 TEST(BoundaryPlanLifecycle, HookInvalidatesOncePerRebuild)
 {
-    PlanFixture fx(shardMeshConfig(1, 1, false), 1);
+    PlanFixture fx(shardMeshConfig(1, 1), 1);
     fx.cache.setRebuildHook([&] { fx.plan.invalidate(); });
 
     fx.plan.ensureBuilt();
@@ -106,7 +106,7 @@ TEST(BoundaryPlanLifecycle, DriverKeepsPlanInLockstepThroughRemesh)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(1));
-    Mesh mesh(shardMeshConfig(1, 1, false), registry, ctx);
+    Mesh mesh(shardMeshConfig(1, 1), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     EvolutionDriver driver(mesh, *package, world, tagger,
@@ -125,7 +125,7 @@ TEST(BoundaryPlanLifecycle, DriverKeepsPlanInLockstepThroughRemesh)
 
 TEST(BoundaryPlanLifecycle, StalePlanIsStructurallyUnusable)
 {
-    PlanFixture fx(shardMeshConfig(1, 1, false), 1);
+    PlanFixture fx(shardMeshConfig(1, 1), 1);
     // No hook chained: the cache moves on, the plan cannot notice
     // until an accessor checks the generation stamp.
     fx.plan.ensureBuilt();
@@ -240,11 +240,11 @@ TEST_P(FusedBoundaryEquivalence, ThreeLevelTeamMatchesClassicBitwise)
     const std::string package = GetParam();
     for (int threads : {1, 2, 4}) {
         const ShardRun classic =
-            runClassic(package, threads, 1, false, 3);
+            runClassic(package, threads, 1, 3);
         EXPECT_EQ(classic.maxLevel, 2) << "workload must reach level 2";
         EXPECT_GT(classic.remeshEvents, 0);
         expectBitwiseEqual(classic,
-                           runTeam(package, 2, threads, 1, false, 3),
+                           runTeam(package, 2, threads, 1, 3),
                            package + " 3-level @2 ranks x " +
                                std::to_string(threads) + " threads");
     }

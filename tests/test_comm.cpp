@@ -525,7 +525,8 @@ TEST(FluxCorrection, ConservationHoldsOnSerialAndThreadPoolSpaces)
         BurgersConfig bc;
         bc.numScalars = 8; // matches the fixture registry
         BurgersPackage package(bc);
-        package.calculateFluxes(*f.mesh);
+        for (MeshBlock* block : f.mesh->ownedBlocks())
+            package.calculateFluxesBlock(*f.mesh, *block);
 
         // Regression: abandon a flux-correction send mid-cycle; the
         // next cycle's reset must also drop stale *flux* messages, not

@@ -8,8 +8,8 @@
  * gathers every component of a face, the upwind `upwindRow`, and the
  * component-inner flux divergence and RK2 weighted sum. The pencil
  * kernels must reproduce it bit for bit — signed zeros included — for
- * every package, dimensionality and reconstruction, through both the
- * per-block and the fused pack launch, serial and threaded.
+ * every package, dimensionality and reconstruction, through the
+ * per-block launch, serial and threaded.
  */
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "exec/execution_space.hpp"
 #include "exec/kernel_profiler.hpp"
 #include "exec/memory_tracker.hpp"
-#include "mesh/block_pack.hpp"
 #include "mesh/mesh.hpp"
 #include "pkg/advection_package.hpp"
 #include "pkg/burgers_package.hpp"
@@ -292,7 +291,7 @@ kernelMeshConfig(int ndim)
     return config;
 }
 
-/** One uniform mesh on its own execution space, with its pack. */
+/** One uniform mesh on its own execution space. */
 struct KernelMesh
 {
     KernelProfiler profiler;
@@ -300,16 +299,13 @@ struct KernelMesh
     VariableRegistry registry;
     ExecContext ctx;
     Mesh mesh;
-    MeshBlockPack pack;
 
     KernelMesh(const PackageDescriptor& package, int ndim, int threads)
         : registry(package.buildRegistry()),
           ctx(ExecMode::Execute, &profiler, &tracker,
               makeExecutionSpace(threads)),
           mesh(kernelMeshConfig(ndim), registry, ctx)
-    {
-        pack.ensureBuilt(mesh);
-    }
+    {}
 };
 
 /**
@@ -446,66 +442,58 @@ TEST(InteriorKernelOracle, FluxesMatchScalarBitwise)
         for (int ndim = 1; ndim <= 3; ++ndim)
             for (ReconMethod recon : {ReconMethod::Weno5, ReconMethod::Plm})
                 for (int v = 0; v < (pkg == Pkg::Burgers ? 1 : 2); ++v)
-                    for (int threads : {1, 4})
-                        for (bool packed : {false, true}) {
-                            const std::string what =
-                                std::string(pkgName(pkg)) + " " +
-                                std::to_string(ndim) + "D " +
-                                (recon == ReconMethod::Weno5 ? "weno5"
-                                                             : "plm") +
-                                " vel#" + std::to_string(v) + " @" +
-                                std::to_string(threads) + " threads " +
-                                (packed ? "pack" : "per-block");
-                            const auto package =
-                                makePackage(pkg, recon, kVelocities[v]);
-                            KernelMesh km(*package, ndim, threads);
-                            std::mt19937_64 rng(
-                                ndim * 131 + static_cast<int>(pkg) * 17 +
-                                static_cast<int>(recon) * 7 + v);
-                            fillState(km.mesh, pkg, rng);
-                            const BlockShape s =
-                                km.mesh.config().blockShape();
+                    for (int threads : {1, 4}) {
+                        const std::string what =
+                            std::string(pkgName(pkg)) + " " +
+                            std::to_string(ndim) + "D " +
+                            (recon == ReconMethod::Weno5 ? "weno5"
+                                                         : "plm") +
+                            " vel#" + std::to_string(v) + " @" +
+                            std::to_string(threads) + " threads";
+                        const auto package =
+                            makePackage(pkg, recon, kVelocities[v]);
+                        KernelMesh km(*package, ndim, threads);
+                        std::mt19937_64 rng(
+                            ndim * 131 + static_cast<int>(pkg) * 17 +
+                            static_cast<int>(recon) * 7 + v);
+                        fillState(km.mesh, pkg, rng);
+                        const BlockShape s =
+                            km.mesh.config().blockShape();
 
-                            // Oracle into NaN-filled copies, kernels
-                            // into NaN-filled arrays: whole-array
-                            // equality also rules out stray writes.
-                            std::vector<std::vector<RealArray4>> want;
-                            for (MeshBlock* block : km.mesh.ownedBlocks()) {
-                                want.emplace_back();
-                                for (int d = 0; d < 3; ++d) {
-                                    block->flux(d).fill(kNaN);
-                                    want.back().push_back(block->flux(d));
-                                }
-                                for (int d = 0; d < ndim; ++d)
-                                    oracle::fluxes(
-                                        block->cons(), want.back()[d], s,
-                                        d, recon,
-                                        pkg == Pkg::Burgers
-                                            ? oracle::Riemann::Hll
-                                            : oracle::Riemann::Upwind,
-                                        kVelocities[v][d]);
+                        // Oracle into NaN-filled copies, kernels
+                        // into NaN-filled arrays: whole-array
+                        // equality also rules out stray writes.
+                        std::vector<std::vector<RealArray4>> want;
+                        for (MeshBlock* block : km.mesh.ownedBlocks()) {
+                            want.emplace_back();
+                            for (int d = 0; d < 3; ++d) {
+                                block->flux(d).fill(kNaN);
+                                want.back().push_back(block->flux(d));
                             }
-
-                            if (packed)
-                                package->calculateFluxesPack(km.mesh,
-                                                             km.pack);
-                            else
-                                for (MeshBlock* block :
-                                     km.mesh.ownedBlocks())
-                                    package->calculateFluxesBlock(km.mesh,
-                                                                  *block);
-
-                            std::size_t b = 0;
-                            for (MeshBlock* block : km.mesh.ownedBlocks()) {
-                                for (int d = 0; d < 3; ++d)
-                                    ASSERT_EQ(firstMismatch(block->flux(d),
-                                                            want[b][d]),
-                                              "")
-                                        << what << ", block " << b
-                                        << ", flux(" << d << ")";
-                                ++b;
-                            }
+                            for (int d = 0; d < ndim; ++d)
+                                oracle::fluxes(
+                                    block->cons(), want.back()[d], s,
+                                    d, recon,
+                                    pkg == Pkg::Burgers
+                                        ? oracle::Riemann::Hll
+                                        : oracle::Riemann::Upwind,
+                                    kVelocities[v][d]);
                         }
+
+                        for (MeshBlock* block : km.mesh.ownedBlocks())
+                            package->calculateFluxesBlock(km.mesh, *block);
+
+                        std::size_t b = 0;
+                        for (MeshBlock* block : km.mesh.ownedBlocks()) {
+                            for (int d = 0; d < 3; ++d)
+                                ASSERT_EQ(firstMismatch(block->flux(d),
+                                                        want[b][d]),
+                                          "")
+                                    << what << ", block " << b
+                                    << ", flux(" << d << ")";
+                            ++b;
+                        }
+                    }
 }
 
 TEST(InteriorKernelOracle, DivergenceAndUpdateMatchScalarBitwise)
@@ -513,106 +501,94 @@ TEST(InteriorKernelOracle, DivergenceAndUpdateMatchScalarBitwise)
     const double unit_vel[3] = {1.0, 1.0, 1.0};
     for (Pkg pkg : {Pkg::Burgers, Pkg::Advection, Pkg::Reaction})
         for (int ndim = 1; ndim <= 3; ++ndim)
-            for (int threads : {1, 4})
-                for (bool packed : {false, true}) {
-                    const std::string what =
-                        std::string(pkgName(pkg)) + " " +
-                        std::to_string(ndim) + "D @" +
-                        std::to_string(threads) + " threads " +
-                        (packed ? "pack" : "per-block");
-                    const auto package =
-                        makePackage(pkg, ReconMethod::Weno5, unit_vel);
-                    KernelMesh km(*package, ndim, threads);
-                    std::mt19937_64 rng(ndim * 977 +
-                                        static_cast<int>(pkg) * 3 +
-                                        threads);
-                    const BlockShape s = km.mesh.config().blockShape();
-                    const int ncomp = km.registry.ncompConserved();
+            for (int threads : {1, 4}) {
+                const std::string what =
+                    std::string(pkgName(pkg)) + " " +
+                    std::to_string(ndim) + "D @" +
+                    std::to_string(threads) + " threads";
+                const auto package =
+                    makePackage(pkg, ReconMethod::Weno5, unit_vel);
+                KernelMesh km(*package, ndim, threads);
+                std::mt19937_64 rng(ndim * 977 +
+                                    static_cast<int>(pkg) * 3 +
+                                    threads);
+                const BlockShape s = km.mesh.config().blockShape();
+                const int ncomp = km.registry.ncompConserved();
 
-                    // Divergence of random fluxes.
-                    std::vector<RealArray4> want;
-                    for (MeshBlock* block : km.mesh.ownedBlocks()) {
-                        for (int d = 0; d < 3; ++d)
-                            fillRandom(block->flux(d), rng);
-                        block->dudt().fill(kNaN);
-                        want.push_back(block->dudt());
-                        const BlockGeometry& g = block->geom();
-                        const double inv_dx[3] = {1.0 / g.dx1, 1.0 / g.dx2,
-                                                  1.0 / g.dx3};
-                        const RealArray4* flux[3] = {
-                            &block->flux(0), &block->flux(1),
-                            &block->flux(2)};
-                        oracle::divergence(flux, want.back(), inv_dx, s,
-                                           ncomp);
-                    }
-                    if (packed)
-                        fvFluxDivergencePack(km.mesh, km.pack);
-                    else
-                        for (MeshBlock* block : km.mesh.ownedBlocks())
-                            fvFluxDivergenceBlock(km.mesh, *block);
-                    std::size_t b = 0;
-                    for (MeshBlock* block : km.mesh.ownedBlocks())
-                        ASSERT_EQ(firstMismatch(block->dudt(), want[b++]),
-                                  "")
-                            << what << ", dudt of block " << b - 1;
+                // Divergence of random fluxes.
+                std::vector<RealArray4> want;
+                for (MeshBlock* block : km.mesh.ownedBlocks()) {
+                    for (int d = 0; d < 3; ++d)
+                        fillRandom(block->flux(d), rng);
+                    block->dudt().fill(kNaN);
+                    want.push_back(block->dudt());
+                    const BlockGeometry& g = block->geom();
+                    const double inv_dx[3] = {1.0 / g.dx1, 1.0 / g.dx2,
+                                              1.0 / g.dx3};
+                    const RealArray4* flux[3] = {
+                        &block->flux(0), &block->flux(1),
+                        &block->flux(2)};
+                    oracle::divergence(flux, want.back(), inv_dx, s,
+                                       ncomp);
+                }
+                for (MeshBlock* block : km.mesh.ownedBlocks())
+                    fvFluxDivergenceBlock(km.mesh, *block);
+                std::size_t b = 0;
+                for (MeshBlock* block : km.mesh.ownedBlocks())
+                    ASSERT_EQ(firstMismatch(block->dudt(), want[b++]),
+                              "")
+                        << what << ", dudt of block " << b - 1;
 
-                    // Save, then both RK2 stages.
-                    std::vector<RealArray4> want_cons, want_cons0;
-                    for (MeshBlock* block : km.mesh.ownedBlocks()) {
-                        fillRandom(block->cons(), rng);
-                        fillRandom(block->cons0(), rng);
-                        fillRandom(block->dudt(), rng);
-                        want_cons.push_back(block->cons());
-                        want_cons0.push_back(block->cons0());
-                        oracle::saveState(want_cons.back(),
-                                          want_cons0.back(), s, ncomp);
-                    }
-                    if (packed)
-                        saveStatePack(km.mesh, km.pack);
-                    else
-                        saveState(km.mesh);
+                // Save, then both RK2 stages.
+                std::vector<RealArray4> want_cons, want_cons0;
+                for (MeshBlock* block : km.mesh.ownedBlocks()) {
+                    fillRandom(block->cons(), rng);
+                    fillRandom(block->cons0(), rng);
+                    fillRandom(block->dudt(), rng);
+                    want_cons.push_back(block->cons());
+                    want_cons0.push_back(block->cons0());
+                    oracle::saveState(want_cons.back(),
+                                      want_cons0.back(), s, ncomp);
+                }
+                saveState(km.mesh);
+                b = 0;
+                for (MeshBlock* block : km.mesh.ownedBlocks()) {
+                    ASSERT_EQ(firstMismatch(block->cons0(),
+                                            want_cons0[b]),
+                              "")
+                        << what << ", saveState of block " << b;
+                    // Desynchronize u from u0 so stage 2 reads two
+                    // different registers.
+                    fillRandom(block->cons(), rng);
+                    want_cons[b] = block->cons();
+                    ++b;
+                }
+                const double dt = 0.37;
+                for (int stage : {1, 2}) {
+                    const double wa = stage == 1 ? 1.0 : 0.5;
+                    const double wb = stage == 1 ? 0.0 : 0.5;
+                    const double wc = stage == 1 ? 1.0 : 0.5;
                     b = 0;
                     for (MeshBlock* block : km.mesh.ownedBlocks()) {
-                        ASSERT_EQ(firstMismatch(block->cons0(),
-                                                want_cons0[b]),
-                                  "")
-                            << what << ", saveState of block " << b;
-                        // Desynchronize u from u0 so stage 2 reads two
-                        // different registers.
-                        fillRandom(block->cons(), rng);
-                        want_cons[b] = block->cons();
+                        oracle::weightedSum(want_cons[b],
+                                            block->cons0(),
+                                            block->dudt(), wa, wb, wc,
+                                            dt, s, ncomp);
                         ++b;
                     }
-                    const double dt = 0.37;
-                    for (int stage : {1, 2}) {
-                        const double wa = stage == 1 ? 1.0 : 0.5;
-                        const double wb = stage == 1 ? 0.0 : 0.5;
-                        const double wc = stage == 1 ? 1.0 : 0.5;
-                        b = 0;
-                        for (MeshBlock* block : km.mesh.ownedBlocks()) {
-                            oracle::weightedSum(want_cons[b],
-                                                block->cons0(),
-                                                block->dudt(), wa, wb, wc,
-                                                dt, s, ncomp);
-                            ++b;
-                        }
-                        if (packed)
-                            stageUpdatePack(km.mesh, km.pack, stage, dt);
-                        else
-                            for (MeshBlock* block : km.mesh.ownedBlocks())
-                                stageUpdateBlock(km.mesh, *block, stage,
-                                                 dt);
-                        b = 0;
-                        for (MeshBlock* block : km.mesh.ownedBlocks()) {
-                            ASSERT_EQ(firstMismatch(block->cons(),
-                                                    want_cons[b]),
-                                      "")
-                                << what << ", stage " << stage
-                                << " of block " << b;
-                            ++b;
-                        }
+                    for (MeshBlock* block : km.mesh.ownedBlocks())
+                        stageUpdateBlock(km.mesh, *block, stage, dt);
+                    b = 0;
+                    for (MeshBlock* block : km.mesh.ownedBlocks()) {
+                        ASSERT_EQ(firstMismatch(block->cons(),
+                                                want_cons[b]),
+                                  "")
+                            << what << ", stage " << stage
+                            << " of block " << b;
+                        ++b;
                     }
                 }
+            }
 }
 
 } // namespace

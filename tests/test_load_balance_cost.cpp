@@ -44,7 +44,7 @@ struct CostFixture
     MemoryTracker tracker;
     ExecContext ctx{ExecMode::Count, &profiler, &tracker,
                     makeExecutionSpace(1)};
-    Mesh mesh{shardMeshConfig(1, 1, false), registry, ctx};
+    Mesh mesh{shardMeshConfig(1, 1), registry, ctx};
 };
 
 TEST(LbCostMode, NamesAndEnvKnob)
@@ -215,7 +215,7 @@ TEST(LoadBalanceCost, RefineSplitsAndDerefineSumsCost)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(1));
-    Mesh mesh(shardMeshConfig(1, 1, false), registry, ctx);
+    Mesh mesh(shardMeshConfig(1, 1), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     DriverConfig config = shardDriverConfig();
@@ -252,7 +252,7 @@ runClassicCost(const std::string& package_name, int num_threads,
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(num_threads));
-    Mesh mesh(shardMeshConfig(1, num_threads, false), registry, ctx);
+    Mesh mesh(shardMeshConfig(1, num_threads), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     DriverConfig config = shardDriverConfig();
@@ -279,7 +279,7 @@ runTeamCost(const std::string& package_name, int num_ranks,
     DriverConfig config = shardDriverConfig();
     config.lbCost = mode;
     config.lbImbalanceTrigger = trigger;
-    RankTeam team(shardMeshConfig(num_ranks, num_threads, false),
+    RankTeam team(shardMeshConfig(num_ranks, num_threads),
                   registry, *package, config, [](int) {
                       return std::make_unique<SphericalWaveTagger>(
                           shardWaveParams());
@@ -331,7 +331,7 @@ TEST(LoadBalanceCost, CycleStatsSurfaceLbOutcome)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(1));
-    Mesh mesh(shardMeshConfig(1, 1, false), registry, ctx);
+    Mesh mesh(shardMeshConfig(1, 1), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     EvolutionDriver driver(mesh, *package, world, tagger,
@@ -362,7 +362,7 @@ TEST(LoadBalanceCost, CheckpointCarriesMeasuredCosts)
     config.lbCost = LbCostMode::Measured;
     {
         CheckpointWriter writer(path, /*async=*/false);
-        RankTeam team(shardMeshConfig(2, 1, false), registry, *package,
+        RankTeam team(shardMeshConfig(2, 1), registry, *package,
                       config, [](int) {
                           return std::make_unique<SphericalWaveTagger>(
                               shardWaveParams());
@@ -388,7 +388,7 @@ TEST(LoadBalanceCost, CheckpointCarriesMeasuredCosts)
     // Restore without evolving (ncycles == snapshot cycle): every
     // replica's blocks resume with the checkpointed estimates, so a
     // re-sharded run starts warm instead of from uniform.
-    RankTeam restored(shardMeshConfig(2, 1, false), registry, *package,
+    RankTeam restored(shardMeshConfig(2, 1), registry, *package,
                       config, [](int) {
                           return std::make_unique<SphericalWaveTagger>(
                               shardWaveParams());
@@ -417,7 +417,7 @@ TEST(LoadBalanceCost, MeasuredHysteresisStopsThrashing)
     auto package = PackageRegistry::instance().create("reaction", pin);
     VariableRegistry registry = package->buildRegistry();
 
-    MeshConfig mesh_config = shardMeshConfig(2, 1, false);
+    MeshConfig mesh_config = shardMeshConfig(2, 1);
     mesh_config.nx1 = mesh_config.nx2 = mesh_config.nx3 = 32;
     mesh_config.amrLevels = 1;
 
@@ -515,7 +515,7 @@ TEST(Reaction, ConservesTotalSpeciesMass)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(1));
-    MeshConfig mesh_config = shardMeshConfig(1, 1, false);
+    MeshConfig mesh_config = shardMeshConfig(1, 1);
     mesh_config.amrLevels = 1;
     Mesh mesh(mesh_config, registry, ctx);
     RankWorld world(1);

@@ -145,8 +145,18 @@ TEST(MeshBlock, RealModeAllocatesArrays)
     EXPECT_EQ(block.cons().ni(), 16); // 8 + 2*4 ghosts
     EXPECT_EQ(block.flux(0).ni(), 17);
     EXPECT_EQ(block.flux(2).nk(), 17);
-    ASSERT_NE(block.reconL(0), nullptr);
     EXPECT_GT(bits.tracker.currentBytes(), 0u);
+    // No reconstruction storage exists: the live pooled bytes are
+    // exactly cons + cons0 + dudt + derived + flux, while "mesh/recon"
+    // stays registered as a model term.
+    ASSERT_NE(mesh.memoryPool(), nullptr);
+    const std::size_t cells = 16u * 16u * 16u * sizeof(double);
+    const std::size_t faces = 17u * 16u * 16u * sizeof(double);
+    // cons/cons0/dudt (11 components) + derived (1) + 3 flux arrays.
+    EXPECT_EQ(bits.tracker.poolMissBytes() -
+                  mesh.memoryPool()->idleBytes(),
+              mesh.numBlocks() * (3 * 11 * cells + cells + 3 * 11 * faces));
+    EXPECT_GT(bits.tracker.labelBytes("mesh/recon"), 0u);
 }
 
 TEST(MeshBlock, VirtualModeAccountsSameBytes)

@@ -256,8 +256,10 @@ TEST(Burgers, UniformFlowHasZeroDivergence)
                     for (int i = 0; i < s.ni(); ++i)
                         block->cons()(n, k, j, i) = 0.3 + 0.1 * n;
     }
-    f.package.calculateFluxes(*f.mesh);
-    f.package.fluxDivergence(*f.mesh);
+    for (MeshBlock* block : f.mesh->ownedBlocks()) {
+        f.package.calculateFluxesBlock(*f.mesh, *block);
+        f.package.fluxDivergenceBlock(*f.mesh, *block);
+    }
     const BlockShape s = f.mesh->config().blockShape();
     for (const auto& block : f.mesh->blocks())
         for (int n = 0; n < f.registry.ncompConserved(); ++n)
@@ -312,10 +314,11 @@ TEST(Rk2, StageAlgebra)
     saveState(*f.mesh); // cons0 = 2
     block.cons().fill(5.0);
     block.dudt().fill(1.0);
-    stage1Update(*f.mesh, 0.1); // u = u0 + dt*dudt = 2.1
+    stageUpdateBlock(*f.mesh, block, 1, 0.1); // u = u0 + dt*dudt = 2.1
     EXPECT_NEAR(block.cons()(0, s.ks(), s.js(), s.is()), 2.1, 1e-14);
     block.dudt().fill(2.0);
-    stage2Update(*f.mesh, 0.1); // u = 0.5*2 + 0.5*2.1 + 0.05*2 = 2.15
+    // u = 0.5*2 + 0.5*2.1 + 0.05*2 = 2.15
+    stageUpdateBlock(*f.mesh, block, 2, 0.1);
     EXPECT_NEAR(block.cons()(0, s.ks(), s.js(), s.is()), 2.15, 1e-14);
 }
 

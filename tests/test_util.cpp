@@ -393,6 +393,15 @@ TEST(ParameterInput, UnknownKnobInRecognizedBlockIsFatal)
     EXPECT_THROW(
         ParameterInput::fromString("<exec>\npack_interor = true\n"),
         FatalError);
+    // A retired knob fails loudly too: the packed interior path is
+    // gone, so an old deck that still selects it must not parse.
+    try {
+        ParameterInput::fromString("<exec>\npack_interior = false\n");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError& err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("pack_interior"), std::string::npos) << what;
+    }
     try {
         ParameterInput::fromString("<mesh>\nnx_1 = 64\n");
         FAIL() << "expected FatalError";

@@ -115,8 +115,7 @@ RULES = [
         scope=("src/comm/ghost_exchange.cpp",),
         exempt=(),
         pattern=(
-            r"\b(?:recordKernel|recordSerial|parFor|parForPack|"
-            r"parReduce)\s*\("
+            r"\b(?:recordKernel|recordSerial|parFor|parReduce)\s*\("
         ),
         message=(
             "task-path instrumentation must use explicit (phase, rank) "

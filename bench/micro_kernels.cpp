@@ -4,11 +4,13 @@
  * hot paths: WENO5/PLM reconstruction, the HLL pencil, the full
  * CalculateFluxes row kernel against a memcpy ceiling of the same
  * modeled bytes, RK2 weighted sums, ghost pack/unpack (uniform and
- * across AMR levels), Morton keys, tree neighbor walks and
+ * across AMR levels), per-class boundary rows (direct vs payload, next
+ * to a memcpy of the same bytes), Morton keys, tree neighbor walks and
  * buffer-cache rebuilds.
  */
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "exec/kernel_profiler.hpp"
 #include "exec/memory_tracker.hpp"
 #include "mesh/mesh.hpp"
+#include "pkg/advection_package.hpp"
 #include "pkg/burgers_package.hpp"
 #include "solver/reconstruct.hpp"
 #include "solver/riemann.hpp"
@@ -214,6 +217,129 @@ BENCHMARK(BM_GhostExchange)
     ->Args({8, 1})
     ->Args({16, 1})
     ->Args({8, 3});
+
+/**
+ * A 32^3 mesh of 8^3 blocks whose low corner is refined twice: every
+ * boundary class (same-level copy, restrict, prolong) occurs on one
+ * rank. `ncomp` 1 is advection's one conserved field (amr-deep's
+ * package), 11 Burgers with 8 scalars; the state is a smooth wave.
+ */
+struct BoundaryRowFixture
+{
+    KernelProfiler profiler;
+    MemoryTracker tracker;
+    VariableRegistry registry;
+    ExecContext ctx{ExecMode::Execute, &profiler, &tracker};
+    Mesh mesh;
+    RankWorld world{1};
+    BoundaryBufferCache cache;
+    GhostExchange exchange;
+    /** Bounds channels of the requested class (levelDiff). */
+    std::vector<const BoundsChannel*> channels;
+    /** Wire bytes of those channels: cells x components x 8. */
+    std::int64_t bytes = 0;
+
+    static MeshConfig config()
+    {
+        MeshConfig c;
+        c.nx1 = c.nx2 = c.nx3 = 32;
+        c.blockNx1 = c.blockNx2 = c.blockNx3 = 8;
+        c.amrLevels = 3;
+        return c;
+    }
+
+    static Mesh& refined(Mesh& mesh)
+    {
+        for (int level = 0; level < 2; ++level) {
+            RefinementFlagMap flags;
+            flags[LogicalLocation{level, 0, 0, 0}] =
+                RefinementFlag::Refine;
+            mesh.applyTreeUpdate(mesh.updateTree(flags), 0);
+        }
+        return mesh;
+    }
+
+    BoundaryRowFixture(int level_diff, int ncomp)
+        : registry(ncomp == 1 ? makeAdvectionRegistry()
+                              : makeBurgersRegistry(ncomp - 3)),
+          mesh(config(), registry, ctx), cache(refined(mesh), false),
+          exchange(mesh, world, cache)
+    {
+        for (const auto& block : mesh.blocks()) {
+            RealArray4& cons = block->cons();
+            for (std::size_t v = 0; v < cons.size(); ++v)
+                cons.data()[v] = std::sin(0.37 * static_cast<double>(v));
+        }
+        for (const BoundsChannel& ch : cache.bounds())
+            if (ch.levelDiff == level_diff) {
+                channels.push_back(&ch);
+                bytes += ch.wireCells() * registry.ncompConserved() *
+                         static_cast<std::int64_t>(sizeof(double));
+            }
+    }
+};
+
+/**
+ * One boundary class's rows on the 3-level mesh: class 0 same-level
+ * copy, 1 restrict (fine sender), -1 prolong (coarse sender), at ncomp
+ * conserved components. direct:1 runs the same-rank direct rows
+ * (sender block straight into receiver ghosts), direct:0 the
+ * cross-rank payload rows (pack into a payload, then unpack). Bytes
+ * are the wire payload, so bytes/s reads against
+ * BM_BoundaryMemcpyCeiling of the same class and ncomp.
+ */
+void
+BM_BoundaryRow(benchmark::State& state)
+{
+    BoundaryRowFixture fx(static_cast<int>(state.range(0)),
+                          static_cast<int>(state.range(1)));
+    const bool direct = state.range(2) != 0;
+    std::vector<double> payload(
+        static_cast<std::size_t>(fx.bytes) / sizeof(double));
+    for (auto _ : state) {
+        if (direct) {
+            for (const BoundsChannel* ch : fx.channels)
+                fx.exchange.copyBoundsChannel(*ch);
+        } else {
+            double* out = payload.data();
+            for (const BoundsChannel* ch : fx.channels) {
+                const std::size_t count =
+                    static_cast<std::size_t>(ch->wireCells()) *
+                    fx.registry.ncompConserved();
+                fx.exchange.packBoundsChannel(*ch, out);
+                fx.exchange.unpackBoundsChannel(*ch, out, count);
+                out += count;
+            }
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(fx.channels.size()));
+    state.SetBytesProcessed(state.iterations() * fx.bytes);
+}
+BENCHMARK(BM_BoundaryRow)
+    ->ArgNames({"class", "ncomp", "direct"})
+    ->ArgsProduct({{0, 1, -1}, {1, 11}, {1, 0}});
+
+/** memcpy of one boundary class's wire bytes: BM_BoundaryRow's ceiling. */
+void
+BM_BoundaryMemcpyCeiling(benchmark::State& state)
+{
+    const BoundaryRowFixture fx(static_cast<int>(state.range(0)),
+                                static_cast<int>(state.range(1)));
+    std::vector<char> src(static_cast<std::size_t>(fx.bytes), 1);
+    std::vector<char> dst(src.size());
+    for (auto _ : state) {
+        std::memcpy(dst.data(), src.data(), dst.size());
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+        src[0] = static_cast<char>(src[0] + 1);
+    }
+    state.SetBytesProcessed(state.iterations() * fx.bytes);
+}
+BENCHMARK(BM_BoundaryMemcpyCeiling)
+    ->ArgNames({"class", "ncomp"})
+    ->ArgsProduct({{0, 1, -1}, {1, 11}});
 
 void
 BM_BufferCacheRebuild(benchmark::State& state)

@@ -34,6 +34,36 @@ planPhaseName(PlanPhase phase)
     return phase == PlanPhase::Bounds ? "bounds" : "flux";
 }
 
+std::vector<int>
+splitRowsByCost(const std::vector<double>& costs)
+{
+    // Row r joins the partition its cost midpoint falls in. The split
+    // depends only on the plan (never on the thread count), so the task
+    // graph, and every traced event count, is the same at any
+    // concurrency.
+    const int n = static_cast<int>(costs.size());
+    std::vector<int> start(kPlanPartitions + 1, n);
+    start[0] = 0;
+    double total = 0;
+    for (double cost : costs)
+        total += cost;
+    if (total <= 0)
+        return start;
+    double prefix = 0;
+    int part = 0;
+    for (int r = 0; r < n; ++r) {
+        const double cost = costs[static_cast<std::size_t>(r)];
+        const int p = std::min(
+            kPlanPartitions - 1,
+            static_cast<int>(kPlanPartitions * (prefix + 0.5 * cost) /
+                             total));
+        while (part < p)
+            start[++part] = r;
+        prefix += cost;
+    }
+    return start;
+}
+
 BoundaryPlan::BoundaryPlan(Mesh& mesh, const BoundaryBufferCache& cache,
                            const RankWorld& world)
     : mesh_(&mesh), cache_(&cache), world_(&world)
@@ -127,6 +157,36 @@ BoundaryPlan::messageFor(PlanPhase phase, int src, int dst) const
     return &*it;
 }
 
+const PlanDirect&
+BoundaryPlan::direct(PlanPhase phase, int rank) const
+{
+    requireCurrent();
+    return direct_[static_cast<int>(phase)].at(
+        static_cast<std::size_t>(rank));
+}
+
+EntryModel
+BoundaryPlan::entryModel(PlanPhase phase, int channel) const
+{
+    const double ncomp = mesh_->registry().ncompConserved();
+    EntryModel model;
+    if (phase == PlanPhase::Bounds) {
+        const BoundsChannel& ch = cache_->bounds()[channel];
+        model.packItems = static_cast<double>(ch.wireCells()) * ncomp;
+        model.packInnermost =
+            (ch.levelDiff == 1 ? ch.recv : ch.send).i.count();
+        model.unpackItems = static_cast<double>(ch.recv.cells()) * ncomp;
+        model.unpackInnermost = ch.recv.i.count();
+    } else {
+        const FluxChannel& ch = cache_->flux()[channel];
+        model.packItems = model.unpackItems =
+            static_cast<double>(ch.wireFaces()) * ncomp;
+        model.packInnermost = model.unpackInnermost =
+            ch.recvFaces.i.count();
+    }
+    return model;
+}
+
 void
 BoundaryPlan::rebuild()
 {
@@ -181,6 +241,8 @@ BoundaryPlan::rebuild()
 
         const ChannelKind kind = bounds ? ChannelKind::CoalescedBounds
                                         : ChannelKind::CoalescedFlux;
+        auto& direct = direct_[phase];
+        direct.assign(static_cast<std::size_t>(nranks), PlanDirect{});
         for (int src = 0; src < nranks; ++src) {
             for (int dst = 0; dst < nranks; ++dst) {
                 auto& entries =
@@ -192,19 +254,47 @@ BoundaryPlan::rebuild()
                               return canonicalKey(id_of(a.channel)) <
                                      canonicalKey(id_of(b.channel));
                           });
+                std::size_t doubles = 0;
+                std::int64_t units = 0;
+                for (PlanEntry& entry : entries) {
+                    entry.offset = doubles;
+                    doubles += entry.count;
+                    units += wire_units(entry.channel);
+                }
+                // The (modeled) message carries exactly the bytes of
+                // its entries' channels.
+                const double bytes =
+                    static_cast<double>(doubles) * sizeof(double);
+                if (src == dst) {
+                    // Same-rank entries become direct rows, balanced
+                    // by the cells each row writes.
+                    PlanDirect& d =
+                        direct[static_cast<std::size_t>(src)];
+                    std::vector<double> costs;
+                    costs.reserve(entries.size());
+                    for (const PlanEntry& entry : entries) {
+                        const EntryModel m = entryModel(
+                            static_cast<PlanPhase>(phase), entry.channel);
+                        costs.push_back(m.unpackItems);
+                        d.model.packItems += m.packItems;
+                        d.model.packInnermost += m.packInnermost;
+                        d.model.unpackItems += m.unpackItems;
+                        d.model.unpackInnermost += m.unpackInnermost;
+                    }
+                    d.partStart = splitRowsByCost(costs);
+                    d.doubles = doubles;
+                    d.bytes = bytes;
+                    d.wireUnits = units;
+                    d.entries = std::move(entries);
+                    continue;
+                }
                 PlanMessage msg;
                 msg.src = src;
                 msg.dst = dst;
                 msg.id = coalescedChannelId(src, dst, kind);
-                for (PlanEntry& entry : entries) {
-                    entry.offset = msg.doubles;
-                    msg.doubles += entry.count;
-                    msg.wireUnits += wire_units(entry.channel);
-                }
-                // One coalesced message carries exactly the bytes of
-                // its entries' channels.
-                msg.bytes = static_cast<double>(msg.doubles) *
-                            sizeof(double);
+                msg.doubles = doubles;
+                msg.bytes = bytes;
+                msg.wireUnits = units;
                 msg.entries = std::move(entries);
                 msgs.push_back(std::move(msg));
             }

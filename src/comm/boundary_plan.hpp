@@ -3,33 +3,51 @@
  * BoundaryPlan: a persistent, phase-indexed plan of all boundary work
  * for the current mesh structure.
  *
- * The plan is the communication analogue of Parthenon's MeshBlockPack:
- * where a pack flattens per-block interior kernels into one fused
- * launch, the plan flattens every per-face BoundsChannel/FluxChannel of the
- * BoundaryBufferCache into a buffer table so that
+ * The plan flattens every per-face BoundsChannel/FluxChannel of the
+ * BoundaryBufferCache into row tables, split by where the two ends of
+ * an entry live:
  *
- *  - all pack/unpack (plus restrict-on-pack / prolong-on-unpack) work
- *    for a phase runs over table rows as a serial begin step (row
- *    table, payload sizing or message receipt), a fixed number of
- *    row-partition steps that the rank's workers run concurrently
- *    (GhostExchange::kFusedPartitions, the analogue of Parthenon's
- *    partitioned MeshBlockPacks), and a serial end step (accounting,
- *    sends), and
- *  - all traffic between one (src rank, dst rank) pair per phase is
- *    coalesced into ONE combined RankWorld mailbox message whose
- *    payload is the offset-directory concatenation of the
- *    per-channel payloads (Parthenon's bvals_cc_in_one / AthenaK combined-buffer
- *    strategy).
+ *  - Cross-rank entries (sender and receiver owned by different
+ *    ranks) are coalesced per (src rank, dst rank) pair and phase into
+ *    ONE combined RankWorld mailbox message whose payload is the
+ *    offset-directory concatenation of the per-channel payloads
+ *    (Parthenon's bvals_cc_in_one / AthenaK combined-buffer strategy).
+ *    The exchange packs them (restricting fine data), sends, polls and
+ *    unpacks them (prolongating coarse slabs).
+ *  - Same-rank entries are direct rows, AMReX's local copy tags: each
+ *    row reads the sender's interior (or fine face fluxes) and writes
+ *    the receiver's ghosts (or coarse face fluxes) in one pass. They
+ *    have no payload, no ChannelId and no mailbox entry, so
+ *    messageFor(phase, r, r) is always nullptr.
  *
- * Message format: the payload is a flat array of doubles; entry e of
- * messageFor(phase, src, dst) occupies [offset, offset + count) and
- * carries exactly the doubles GhostExchange's per-channel pack writes
- * for entry e's channel, in that pack's order. Entries are sorted by
- * the cache's canonical channel key (not the cache's possibly
- * shuffled storage order), so independently built sender and receiver
- * replicas agree on the directory byte for byte. Rank pairs with no
- * adjacent blocks get no PlanMessage at all — the empty message is
- * elided, never sent.
+ * Both kinds of table are split into kPlanPartitions cost-balanced row
+ * ranges that the rank's workers run concurrently (the analogue of
+ * Parthenon's partitioned MeshBlockPacks). The direct tables are split
+ * here, once per rebuild; the cross-rank rows point into per-stage
+ * payloads, so the exchange splits those at each begin step.
+ *
+ * Message format (cross-rank only): the payload is a flat array of
+ * doubles; entry e of messageFor(phase, src, dst) occupies
+ * [offset, offset + count) and carries exactly the doubles
+ * GhostExchange's per-channel pack writes for entry e's channel, in
+ * that pack's order. Entries are sorted by the cache's canonical
+ * channel key (not the cache's possibly shuffled storage order), so
+ * independently built sender and receiver replicas agree on the
+ * directory byte for byte; direct tables use the same order. Rank
+ * pairs with no adjacent blocks get no PlanMessage at all — the empty
+ * message is elided, never sent.
+ *
+ * Ordering contract: a direct row reads its sender's live interior, and
+ * no payload snapshot sits in between. So no stage update
+ * (WeightedSumData) of a block may start until every direct row that
+ * reads that block has run, and no flux divergence may start until
+ * every direct flux row that writes its faces has run. The driver's
+ * stage graph provides both edges (see buildStageGraph).
+ *
+ * Model terms: a PlanDirect keeps the modeled size of the self-pair
+ * message its rows replace (doubles, bytes, wire units, kernel items),
+ * so the exchange's counting-mode records stay those of Parthenon,
+ * which sends same-rank buffers too.
  *
  * Lifecycle: the plan is generation-stamped against
  * BoundaryBufferCache::rebuildCount(). The driver chains invalidate()
@@ -41,7 +59,7 @@
  *
  * Thread safety: the rebuild state (built_/generation_/counters) is
  * guarded by mutex_ and annotated for clang's thread-safety analysis.
- * The message tables themselves are written only inside
+ * The tables themselves are written only inside
  * ensureBuilt()/invalidate() — called at serial points on the owning
  * rank's driver thread — and are read lock-free by the fused phase
  * steps.
@@ -70,6 +88,20 @@ inline constexpr int kNumPlanPhases = 2;
 /** Human-readable phase name (task labels, stall reports). */
 const char* planPhaseName(PlanPhase phase);
 
+/**
+ * Row partitions per fused phase. A plan constant, not a knob: it must
+ * not depend on the thread count, so task graphs and traced event
+ * counts stay identical at every concurrency. Partitions may be empty.
+ */
+inline constexpr int kPlanPartitions = 8;
+
+/**
+ * Split rows into kPlanPartitions contiguous ranges of near-equal
+ * cost: returns kPlanPartitions + 1 starts, partition p being rows
+ * [start[p], start[p + 1]).
+ */
+std::vector<int> splitRowsByCost(const std::vector<double>& costs);
+
 /** One per-face channel's slice of a coalesced payload. */
 struct PlanEntry
 {
@@ -79,6 +111,19 @@ struct PlanEntry
     std::size_t offset = 0;
     /** Payload doubles (wire cells/faces x conserved components). */
     std::size_t count = 0;
+};
+
+/**
+ * The modeled kernel terms of one entry: items and innermost extent of
+ * its pack (restrict) row and of its unpack (prolongate) row, as the
+ * fused SendBoundBufs/SetBounds kernel records count them.
+ */
+struct EntryModel
+{
+    double packItems = 0;
+    double packInnermost = 0;
+    double unpackItems = 0;
+    double unpackInnermost = 0;
 };
 
 /** One coalesced (src rank -> dst rank) message for one phase. */
@@ -95,6 +140,27 @@ struct PlanMessage
     std::int64_t wireUnits = 0;
     /** Offset directory, sorted by canonical channel key. */
     std::vector<PlanEntry> entries;
+};
+
+/**
+ * The same-rank entries of one rank for one phase: direct rows, never
+ * sent. The model terms describe the self-pair message these rows
+ * replace; only the exchange's accounting reads them.
+ */
+struct PlanDirect
+{
+    /** Entries sorted by canonical channel key (modeled offsets). */
+    std::vector<PlanEntry> entries;
+    /** Rows of partition p: [partStart[p], partStart[p + 1]). */
+    std::vector<int> partStart = std::vector<int>(kPlanPartitions + 1, 0);
+
+    /** Modeled payload doubles and bytes of the self-pair message. */
+    std::size_t doubles = 0;
+    double bytes = 0;
+    /** Wire cells (Bounds) or faces (Flux) of the entries. */
+    std::int64_t wireUnits = 0;
+    /** Sums of the entries' EntryModel terms. */
+    EntryModel model;
 };
 
 /**
@@ -136,7 +202,7 @@ class BoundaryPlan
     /** Rebuilds actually performed (lazy: <= invalidateCount + 1). */
     std::uint64_t buildCount() const;
 
-    /** All messages for `phase`, sorted by (src, dst). */
+    /** All cross-rank messages for `phase`, sorted by (src, dst). */
     const std::vector<PlanMessage>& messages(PlanPhase phase) const;
 
     /** Indices into messages(phase) with src == rank. */
@@ -147,10 +213,17 @@ class BoundaryPlan
 
     /**
      * The coalesced message for a rank pair, or nullptr when the pair
-     * shares no boundary (the message is elided, not sent empty).
+     * shares no boundary (the message is elided, not sent empty) or
+     * src == dst (same-rank entries are direct rows).
      */
     const PlanMessage* messageFor(PlanPhase phase, int src,
                                   int dst) const;
+
+    /** The direct rows of `rank` for `phase` (possibly empty). */
+    const PlanDirect& direct(PlanPhase phase, int rank) const;
+
+    /** Kernel-model terms of one channel of `phase`. */
+    EntryModel entryModel(PlanPhase phase, int channel) const;
 
   private:
     void rebuild() VIBE_REQUIRES(mutex_);
@@ -173,6 +246,8 @@ class BoundaryPlan
     std::vector<PlanMessage> messages_[kNumPlanPhases];
     std::vector<std::vector<int>> send_ids_[kNumPlanPhases];
     std::vector<std::vector<int>> recv_ids_[kNumPlanPhases];
+    /** Direct rows per rank. */
+    std::vector<PlanDirect> direct_[kNumPlanPhases];
 };
 
 } // namespace vibe

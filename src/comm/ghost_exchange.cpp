@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "exec/par_for.hpp"
@@ -41,6 +42,330 @@ prolongScratch()
 {
     thread_local ProlongScratch scratch;
     return scratch;
+}
+
+/**
+ * The unit-stride i rows of a box of doubles: a region of a block
+ * array (that array's strides) or a payload slice (the box laid out
+ * back to back in (n, k, j, i) order). Every row kernel below reads
+ * and writes through these views, so a payload row (pack or unpack)
+ * and a direct row run the same arithmetic, bit for bit.
+ */
+template <typename T>
+struct BoxRows
+{
+    T* origin;
+    std::size_t sn, sk, sj;
+
+    /** Row (n, k, j) of the box, box-relative k and j. */
+    T* row(int n, int k, int j) const
+    {
+        return origin + static_cast<std::size_t>(n) * sn +
+               static_cast<std::size_t>(k) * sk +
+               static_cast<std::size_t>(j) * sj;
+    }
+};
+
+/** Rows of `box` inside block array `a` (const or not). */
+template <typename A>
+auto
+arrayRows(A& a, const Region3& box)
+{
+    const std::size_t sj = static_cast<std::size_t>(a.ni());
+    const std::size_t sk = sj * a.nj();
+    return BoxRows<std::remove_pointer_t<decltype(a.data())>>{
+        a.data() + box.k.lo * sk + box.j.lo * sj + box.i.lo, sk * a.nk(),
+        sk, sj};
+}
+
+/** Rows of `box` laid out back to back in a payload slice. */
+template <typename T>
+BoxRows<T>
+payloadRows(T* payload, const Region3& box)
+{
+    const std::size_t sj = static_cast<std::size_t>(box.i.count());
+    const std::size_t sk = sj * box.j.count();
+    return {payload, sk * box.k.count(), sk, sj};
+}
+
+/** Same-level copy: `box`-shaped rows from `src` to `dst`. */
+void
+copyRows(const BoxRows<const double>& src, const BoxRows<double>& dst,
+         int ncomp, const Region3& box)
+{
+    const int nk = box.k.count(), nj = box.j.count(), ni = box.i.count();
+    for (int n = 0; n < ncomp; ++n)
+        for (int k = 0; k < nk; ++k)
+            for (int j = 0; j < nj; ++j)
+                std::copy_n(src.row(n, k, j), ni, dst.row(n, k, j));
+}
+
+/**
+ * One restricted row: out[c] is the average of fine cells fi, fi + 1
+ * (fi = f0 + 2c) over the NR fine rows, summed in (dk, dj, di) order.
+ */
+template <int NR>
+void
+restrictRow(const double* const* rows, int f0, int count, double inv,
+            double* out)
+{
+    for (int c = 0; c < count; ++c) {
+        const int fi = f0 + 2 * c;
+        double sum = 0.0;
+        for (int r = 0; r < NR; ++r) {
+            sum += rows[r][fi];
+            sum += rows[r][fi + 1];
+        }
+        out[c] = sum * inv;
+    }
+}
+
+/**
+ * Restrict: each coarse cell of the receiver's target region `recv`
+ * becomes the 2^ndim average of the sender's covering fine cells.
+ */
+void
+restrictRows(const BoundsChannel& ch, const BlockShape& shape, int ncomp,
+             const RealArray4& fine, const BoxRows<double>& dst)
+{
+    const int ndim = shape.ndim;
+    const int lo[3] = {shape.is(), shape.js(), shape.ks()};
+    const double inv = 1.0 / (1 << ndim);
+    const int nk2 = ndim >= 3 ? 2 : 1, nj2 = ndim >= 2 ? 2 : 1;
+    const int count = ch.recv.i.count();
+    const int f0 = lo[0] + 2 * (ch.recv.i.lo - lo[0]) - ch.base2[0];
+    for (int n = 0; n < ncomp; ++n)
+        for (int K = ch.recv.k.lo; K <= ch.recv.k.hi; ++K)
+            for (int J = ch.recv.j.lo; J <= ch.recv.j.hi; ++J) {
+                const int fj =
+                    ndim >= 2 ? lo[1] + 2 * (J - lo[1]) - ch.base2[1] : 0;
+                const int fk =
+                    ndim >= 3 ? lo[2] + 2 * (K - lo[2]) - ch.base2[2] : 0;
+                const double* rows[4];
+                int nr = 0;
+                for (int dk = 0; dk < nk2; ++dk)
+                    for (int dj = 0; dj < nj2; ++dj)
+                        rows[nr++] = &fine(n, fk + dk, fj + dj, 0);
+                double* out =
+                    dst.row(n, K - ch.recv.k.lo, J - ch.recv.j.lo);
+                if (nr == 4)
+                    restrictRow<4>(rows, f0, count, inv, out);
+                else if (nr == 2)
+                    restrictRow<2>(rows, f0, count, inv, out);
+                else
+                    restrictRow<1>(rows, f0, count, inv, out);
+            }
+}
+
+/**
+ * Prolongate: coarse slab `slab` (the sender's `send` box, from a
+ * payload or straight from the sender's interior) into the receiver's
+ * fine ghosts.
+ *
+ * Slope-limited prolongation around a per-channel coarse box, the role
+ * of Parthenon's receiver-side coarse buffer. The box spans the coarse
+ * cells under the recv region plus a one-cell halo in each active
+ * dimension. A box cell takes its value from the slab where the slab
+ * covers it; where it instead lies on the *receiver's* side of the
+ * interface (the inward neighbor of the innermost ghost layer), it is
+ * restricted on the fly from the receiver's own fine interior;
+ * elsewhere it is unavailable and a slope reaching for it clamps to
+ * zero. Values are filled once per component and slopes once per
+ * coarse cell; the fine loop then adds center + sum_d +-0.25 slope_d
+ * in d order, exactly the arithmetic of a per-fine-cell evaluation.
+ */
+void
+prolongRows(const BoundsChannel& ch, const BlockShape& shape, int ncomp,
+            const BoxRows<const double>& slab, RealArray4& cons)
+{
+    const int ndim = shape.ndim;
+    const int lo[3] = {shape.is(), shape.js(), shape.ks()};
+    const int nx[3] = {shape.nx1, ndim >= 2 ? shape.nx2 : 1,
+                       ndim >= 3 ? shape.nx3 : 1};
+    const int slab_lo[3] = {rangeStart(ch.send, 0), rangeStart(ch.send, 1),
+                            rangeStart(ch.send, 2)};
+    const int sc[3] = {rangeCount(ch.send, 0), rangeCount(ch.send, 1),
+                       rangeCount(ch.send, 2)};
+
+    // Coarse value at sender-local interior-relative index c_rel[3]
+    // for component n; false if unobtainable from the slab or by
+    // restriction of the receiver's interior.
+    auto coarse_at = [&](int n, const Slice3<double>& u, const int c_rel[3],
+                         double* out) {
+        int s_idx[3];
+        bool in_slab = true;
+        for (int d = 0; d < 3; ++d) {
+            s_idx[d] = c_rel[d] + lo[d] - slab_lo[d];
+            if (s_idx[d] < 0 || s_idx[d] >= sc[d])
+                in_slab = false;
+        }
+        if (in_slab) {
+            *out = slab.row(n, s_idx[2], s_idx[1])[s_idx[0]];
+            return true;
+        }
+        int f0[3] = {0, 0, 0};
+        for (int d = 0; d < ndim; ++d) {
+            f0[d] = ch.base[d] + 2 * c_rel[d];
+            if (f0[d] < 0 || f0[d] + 1 >= nx[d])
+                return false;
+        }
+        double sum = 0.0;
+        for (int dk = 0; dk <= (ndim >= 3 ? 1 : 0); ++dk)
+            for (int dj = 0; dj <= (ndim >= 2 ? 1 : 0); ++dj)
+                for (int di = 0; di <= 1; ++di)
+                    sum += u(lo[2] * (ndim >= 3) + f0[2] + dk,
+                             lo[1] * (ndim >= 2) + f0[1] + dj,
+                             lo[0] + f0[0] + di);
+        *out = sum / (1 << ndim);
+        return true;
+    };
+
+    // Coarse range [c_lo, c_hi] under the recv region; fine index F
+    // lies in coarse cell (F - lo - base) >> 1, which is monotone in F,
+    // so checking the region's low corner covers every cell.
+    const int f_lo[3] = {ch.recv.i.lo, ch.recv.j.lo, ch.recv.k.lo};
+    const int f_hi[3] = {ch.recv.i.hi, ch.recv.j.hi, ch.recv.k.hi};
+    int c_lo[3] = {0, 0, 0}, c_hi[3] = {0, 0, 0}, halo[3] = {0, 0, 0};
+    for (int d = 0; d < ndim; ++d) {
+        const int t = f_lo[d] - lo[d] - ch.base[d];
+        require(t >= 0, "negative alignment offset");
+        c_lo[d] = t >> 1;
+        c_hi[d] = (f_hi[d] - lo[d] - ch.base[d]) >> 1;
+        halo[d] = 1;
+    }
+    const int cn[3] = {c_hi[0] - c_lo[0] + 1, c_hi[1] - c_lo[1] + 1,
+                       c_hi[2] - c_lo[2] + 1};
+    const int bn[3] = {cn[0] + 2 * halo[0], cn[1] + 2 * halo[1],
+                       cn[2] + 2 * halo[2]};
+    const std::size_t stride[3] = {
+        1, static_cast<std::size_t>(bn[0]),
+        static_cast<std::size_t>(bn[0]) * bn[1]};
+    ProlongScratch& scratch = prolongScratch();
+    scratch.value.resize(stride[2] * bn[2]);
+    scratch.ok.resize(stride[2] * bn[2]);
+    scratch.coef.resize(4 * static_cast<std::size_t>(cn[0]) * cn[1] *
+                        cn[2]);
+    double* value = scratch.value.data();
+    unsigned char* ok = scratch.ok.data();
+    double* coef = scratch.coef.data();
+
+    for (int n = 0; n < ncomp; ++n) {
+        Slice3<double> u = cons.slice(n);
+
+        // Box values. Cells off the inner range in two or more
+        // dimensions are never read: slopes step along one axis.
+        std::size_t b = 0;
+        for (int bk = 0; bk < bn[2]; ++bk)
+            for (int bj = 0; bj < bn[1]; ++bj)
+                for (int bi = 0; bi < bn[0]; ++bi, ++b) {
+                    const int c_rel[3] = {c_lo[0] - halo[0] + bi,
+                                          c_lo[1] - halo[1] + bj,
+                                          c_lo[2] - halo[2] + bk};
+                    int outside = 0;
+                    for (int d = 0; d < 3; ++d)
+                        outside +=
+                            c_rel[d] < c_lo[d] || c_rel[d] > c_hi[d];
+                    if (outside > 1) {
+                        ok[b] = 0;
+                        continue;
+                    }
+                    ok[b] = coarse_at(n, u, c_rel, &value[b]);
+                    if (outside == 0)
+                        require(ok[b], "ghost prolongation center missing");
+                }
+
+        // Center and limited slopes per inner coarse cell.
+        double* cf = coef;
+        for (int ck = 0; ck < cn[2]; ++ck)
+            for (int cj = 0; cj < cn[1]; ++cj)
+                for (int ci = 0; ci < cn[0]; ++ci, cf += 4) {
+                    const std::size_t c = (ck + halo[2]) * stride[2] +
+                                          (cj + halo[1]) * stride[1] +
+                                          (ci + halo[0]);
+                    const double center = value[c];
+                    cf[0] = center;
+                    for (int d = 0; d < ndim; ++d) {
+                        double slope = 0.0;
+                        if (ok[c - stride[d]] && ok[c + stride[d]])
+                            slope = minmod(value[c + stride[d]] - center,
+                                           center - value[c - stride[d]]);
+                        cf[1 + d] = slope;
+                    }
+                }
+
+        // Fine ghosts: parity picks the sign of each slope term.
+        for (int k = f_lo[2]; k <= f_hi[2]; ++k) {
+            const int tk = ndim >= 3 ? k - lo[2] - ch.base[2] : 0;
+            const double wk = (tk & 1) ? 0.25 : -0.25;
+            for (int j = f_lo[1]; j <= f_hi[1]; ++j) {
+                const int tj = ndim >= 2 ? j - lo[1] - ch.base[1] : 0;
+                const double wj = (tj & 1) ? 0.25 : -0.25;
+                const double* row =
+                    coef + 4 * ((static_cast<std::size_t>(
+                                     (tk >> 1) - c_lo[2]) *
+                                     cn[1] +
+                                 ((tj >> 1) - c_lo[1])) *
+                                cn[0]);
+                for (int i = f_lo[0]; i <= f_hi[0]; ++i) {
+                    const int ti = i - lo[0] - ch.base[0];
+                    const double* q = row + 4 * ((ti >> 1) - c_lo[0]);
+                    double v = q[0];
+                    v += ((ti & 1) ? 0.25 : -0.25) * q[1];
+                    if (ndim >= 2)
+                        v += wj * q[2];
+                    if (ndim >= 3)
+                        v += wk * q[3];
+                    u(k, j, i) = v;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Flux restrict: each coarse face of the receiver's `recvFaces` becomes
+ * the average of the sender's 2^(ndim-1) covering fine faces.
+ */
+void
+restrictFluxRows(const FluxChannel& ch, const BlockShape& shape,
+                 int ncomp, const RealArray4& flux,
+                 const BoxRows<double>& dst)
+{
+    const int ndim = shape.ndim;
+    const int lo[3] = {shape.is(), shape.js(), shape.ks()};
+    const int nfine = 1 << (ndim - 1);
+    const double inv = 1.0 / nfine;
+    const Region3& faces = ch.recvFaces;
+    for (int n = 0; n < ncomp; ++n)
+        for (int K = faces.k.lo; K <= faces.k.hi; ++K)
+            for (int J = faces.j.lo; J <= faces.j.hi; ++J) {
+                double* out = dst.row(n, K - faces.k.lo, J - faces.j.lo);
+                for (int I = faces.i.lo; I <= faces.i.hi; ++I) {
+                    const int cidx[3] = {I, J, K};
+                    int f[3];
+                    for (int d = 0; d < 3; ++d) {
+                        if (d == ch.dir) {
+                            f[d] = ch.sendFaceIdx;
+                        } else if (d < ndim) {
+                            f[d] = lo[d] + 2 * (cidx[d] - lo[d]) -
+                                   ch.base2[d];
+                        } else {
+                            f[d] = 0;
+                        }
+                    }
+                    double sum = 0.0;
+                    for (int dk = 0;
+                         dk <= (ndim >= 3 && ch.dir != 2 ? 1 : 0); ++dk)
+                        for (int dj = 0;
+                             dj <= (ndim >= 2 && ch.dir != 1 ? 1 : 0);
+                             ++dj)
+                            for (int di = 0; di <= (ch.dir != 0 ? 1 : 0);
+                                 ++di)
+                                sum += flux(n, f[2] + dk, f[1] + dj,
+                                            f[0] + di);
+                    out[I - faces.i.lo] = sum * inv;
+                }
+            }
 }
 
 } // namespace
@@ -111,52 +436,19 @@ void
 GhostExchange::packBoundsChannel(const BoundsChannel& ch,
                                  double* out) const
 {
-    require(ch.sender->hasData(), "pack from a storage-less block ",
-            ch.sender->loc().str(),
-            " (sender not owned by this rank?)");
+    // Row kernels run per channel: build the message only on failure.
+    if (!ch.sender->hasData())
+        panic("pack from a storage-less block ", ch.sender->loc().str(),
+              " (sender not owned by this rank?)");
     const int ncomp = mesh_->registry().ncompConserved();
-    const BlockShape shape = mesh_->config().blockShape();
-    const int ndim = shape.ndim;
     const RealArray4& cons = ch.sender->cons();
-    std::size_t idx = 0;
-    if (ch.levelDiff == 1) {
-        // Restrict on send: iterate the receiver's coarse target
-        // region; average the covering fine cells.
-        const int lo[3] = {shape.is(), shape.js(), shape.ks()};
-        const double inv = 1.0 / (1 << ndim);
-        for (int n = 0; n < ncomp; ++n)
-            for (int K = ch.recv.k.lo; K <= ch.recv.k.hi; ++K)
-                for (int J = ch.recv.j.lo; J <= ch.recv.j.hi; ++J)
-                    for (int I = ch.recv.i.lo; I <= ch.recv.i.hi;
-                         ++I) {
-                        const int fi =
-                            lo[0] + 2 * (I - lo[0]) - ch.base2[0];
-                        const int fj =
-                            ndim >= 2
-                                ? lo[1] + 2 * (J - lo[1]) - ch.base2[1]
-                                : 0;
-                        const int fk =
-                            ndim >= 3
-                                ? lo[2] + 2 * (K - lo[2]) - ch.base2[2]
-                                : 0;
-                        double sum = 0.0;
-                        for (int dk = 0; dk <= (ndim >= 3 ? 1 : 0);
-                             ++dk)
-                            for (int dj = 0; dj <= (ndim >= 2 ? 1 : 0);
-                                 ++dj)
-                                for (int di = 0; di <= 1; ++di)
-                                    sum += cons(n, fk + dk, fj + dj,
-                                                fi + di);
-                        out[idx++] = sum * inv;
-                    }
-    } else {
+    if (ch.levelDiff == 1)
+        restrictRows(ch, mesh_->config().blockShape(), ncomp, cons,
+                     payloadRows(out, ch.recv));
+    else
         // Same level or coarse slab: straight copy of the send box.
-        for (int n = 0; n < ncomp; ++n)
-            for (int k = ch.send.k.lo; k <= ch.send.k.hi; ++k)
-                for (int j = ch.send.j.lo; j <= ch.send.j.hi; ++j)
-                    for (int i = ch.send.i.lo; i <= ch.send.i.hi; ++i)
-                        out[idx++] = cons(n, k, j, i);
-    }
+        copyRows(arrayRows(cons, ch.send), payloadRows(out, ch.send),
+                 ncomp, ch.send);
 }
 
 void
@@ -172,187 +464,39 @@ GhostExchange::unpackBoundsChannel(const BoundsChannel& ch,
                                    std::size_t count) const
 {
     const int ncomp = mesh_->registry().ncompConserved();
-    const BlockShape shape = mesh_->config().blockShape();
-    const int ndim = shape.ndim;
     RealArray4& cons = ch.receiver->cons();
-
     if (ch.levelDiff >= 0) {
         // Same level or pre-restricted: straight copy into recv box.
-        // One size check up front, then unchecked indexing in the
-        // per-cell loop (matching the slab branch below).
         require(count ==
                     static_cast<std::size_t>(ch.recv.cells()) * ncomp,
                 "bounds payload size mismatch");
-        std::size_t idx = 0;
-        for (int n = 0; n < ncomp; ++n)
-            for (int k = ch.recv.k.lo; k <= ch.recv.k.hi; ++k)
-                for (int j = ch.recv.j.lo; j <= ch.recv.j.hi; ++j)
-                    for (int i = ch.recv.i.lo; i <= ch.recv.i.hi; ++i)
-                        cons(n, k, j, i) = payload[idx++];
+        copyRows(payloadRows(payload, ch.recv), arrayRows(cons, ch.recv),
+                 ncomp, ch.recv);
         return;
     }
-
-    // Coarse slab -> fine ghosts: slope-limited prolongation around a
-    // per-channel coarse box, the role of Parthenon's receiver-side
-    // coarse buffer. The box spans the coarse cells under the recv
-    // region plus a one-cell halo in each active dimension. A box cell
-    // takes its value from the slab where the slab covers it; where
-    // it instead lies on the *receiver's* side of the interface (the
-    // inward neighbor of the innermost ghost layer), it is restricted
-    // on the fly from the receiver's own fine interior; elsewhere it
-    // is unavailable and a slope reaching for it clamps to zero.
-    // Values are filled once per component and slopes once per coarse
-    // cell; the fine loop then adds center + sum_d +-0.25 slope_d in
-    // d order, exactly the arithmetic of a per-fine-cell evaluation.
-    const int lo[3] = {shape.is(), shape.js(), shape.ks()};
-    const int nx[3] = {shape.nx1, ndim >= 2 ? shape.nx2 : 1,
-                       ndim >= 3 ? shape.nx3 : 1};
-    const int slab_lo[3] = {rangeStart(ch.send, 0), rangeStart(ch.send, 1),
-                            rangeStart(ch.send, 2)};
-    const int sc[3] = {rangeCount(ch.send, 0), rangeCount(ch.send, 1),
-                       rangeCount(ch.send, 2)};
-    const std::size_t slab_stride_n =
-        static_cast<std::size_t>(sc[2]) * sc[1] * sc[0];
-    require(count == slab_stride_n * ncomp,
+    require(count == static_cast<std::size_t>(ch.send.cells()) * ncomp,
             "slab payload size mismatch");
+    prolongRows(ch, mesh_->config().blockShape(), ncomp,
+                payloadRows(payload, ch.send), cons);
+}
 
-    // Coarse value at sender-local interior-relative index c_rel[3]
-    // for one component; false if unobtainable from the slab or by
-    // restriction of the receiver's interior.
-    auto coarse_at = [&](const double* slab, const Slice3<double>& u,
-                         const int c_rel[3], double* out) {
-        int s_idx[3];
-        bool in_slab = true;
-        for (int d = 0; d < 3; ++d) {
-            s_idx[d] = c_rel[d] + lo[d] - slab_lo[d];
-            if (s_idx[d] < 0 || s_idx[d] >= sc[d])
-                in_slab = false;
-        }
-        if (in_slab) {
-            *out = slab[(static_cast<std::size_t>(s_idx[2]) * sc[1] +
-                         s_idx[1]) *
-                            sc[0] +
-                        s_idx[0]];
-            return true;
-        }
-        int f0[3] = {0, 0, 0};
-        for (int d = 0; d < ndim; ++d) {
-            f0[d] = ch.base[d] + 2 * c_rel[d];
-            if (f0[d] < 0 || f0[d] + 1 >= nx[d])
-                return false;
-        }
-        double sum = 0.0;
-        for (int dk = 0; dk <= (ndim >= 3 ? 1 : 0); ++dk)
-            for (int dj = 0; dj <= (ndim >= 2 ? 1 : 0); ++dj)
-                for (int di = 0; di <= 1; ++di)
-                    sum += u(lo[2] * (ndim >= 3) + f0[2] + dk,
-                             lo[1] * (ndim >= 2) + f0[1] + dj,
-                             lo[0] + f0[0] + di);
-        *out = sum / (1 << ndim);
-        return true;
-    };
-
-    // Coarse range [c_lo, c_hi] under the recv region; fine index F
-    // lies in coarse cell (F - lo - base) >> 1, which is monotone in F,
-    // so checking the region's low corner covers every cell.
-    const int f_lo[3] = {ch.recv.i.lo, ch.recv.j.lo, ch.recv.k.lo};
-    const int f_hi[3] = {ch.recv.i.hi, ch.recv.j.hi, ch.recv.k.hi};
-    int c_lo[3] = {0, 0, 0}, c_hi[3] = {0, 0, 0}, halo[3] = {0, 0, 0};
-    for (int d = 0; d < ndim; ++d) {
-        const int t = f_lo[d] - lo[d] - ch.base[d];
-        require(t >= 0, "negative alignment offset");
-        c_lo[d] = t >> 1;
-        c_hi[d] = (f_hi[d] - lo[d] - ch.base[d]) >> 1;
-        halo[d] = 1;
-    }
-    const int cn[3] = {c_hi[0] - c_lo[0] + 1, c_hi[1] - c_lo[1] + 1,
-                       c_hi[2] - c_lo[2] + 1};
-    const int bn[3] = {cn[0] + 2 * halo[0], cn[1] + 2 * halo[1],
-                       cn[2] + 2 * halo[2]};
-    const std::size_t stride[3] = {
-        1, static_cast<std::size_t>(bn[0]),
-        static_cast<std::size_t>(bn[0]) * bn[1]};
-    ProlongScratch& scratch = prolongScratch();
-    scratch.value.resize(stride[2] * bn[2]);
-    scratch.ok.resize(stride[2] * bn[2]);
-    scratch.coef.resize(4 * static_cast<std::size_t>(cn[0]) * cn[1] *
-                        cn[2]);
-    double* value = scratch.value.data();
-    unsigned char* ok = scratch.ok.data();
-    double* coef = scratch.coef.data();
-
-    for (int n = 0; n < ncomp; ++n) {
-        const double* slab = payload + n * slab_stride_n;
-        Slice3<double> u = cons.slice(n);
-
-        // Box values. Cells off the inner range in two or more
-        // dimensions are never read: slopes step along one axis.
-        std::size_t b = 0;
-        for (int bk = 0; bk < bn[2]; ++bk)
-            for (int bj = 0; bj < bn[1]; ++bj)
-                for (int bi = 0; bi < bn[0]; ++bi, ++b) {
-                    const int c_rel[3] = {c_lo[0] - halo[0] + bi,
-                                          c_lo[1] - halo[1] + bj,
-                                          c_lo[2] - halo[2] + bk};
-                    int outside = 0;
-                    for (int d = 0; d < 3; ++d)
-                        outside +=
-                            c_rel[d] < c_lo[d] || c_rel[d] > c_hi[d];
-                    if (outside > 1) {
-                        ok[b] = 0;
-                        continue;
-                    }
-                    ok[b] = coarse_at(slab, u, c_rel, &value[b]);
-                    if (outside == 0)
-                        require(ok[b], "ghost prolongation center missing");
-                }
-
-        // Center and limited slopes per inner coarse cell.
-        double* cf = coef;
-        for (int ck = 0; ck < cn[2]; ++ck)
-            for (int cj = 0; cj < cn[1]; ++cj)
-                for (int ci = 0; ci < cn[0]; ++ci, cf += 4) {
-                    const std::size_t c = (ck + halo[2]) * stride[2] +
-                                          (cj + halo[1]) * stride[1] +
-                                          (ci + halo[0]);
-                    const double center = value[c];
-                    cf[0] = center;
-                    for (int d = 0; d < ndim; ++d) {
-                        double slope = 0.0;
-                        if (ok[c - stride[d]] && ok[c + stride[d]])
-                            slope = minmod(value[c + stride[d]] - center,
-                                           center - value[c - stride[d]]);
-                        cf[1 + d] = slope;
-                    }
-                }
-
-        // Fine ghosts: parity picks the sign of each slope term.
-        for (int k = f_lo[2]; k <= f_hi[2]; ++k) {
-            const int tk = ndim >= 3 ? k - lo[2] - ch.base[2] : 0;
-            const double wk = (tk & 1) ? 0.25 : -0.25;
-            for (int j = f_lo[1]; j <= f_hi[1]; ++j) {
-                const int tj = ndim >= 2 ? j - lo[1] - ch.base[1] : 0;
-                const double wj = (tj & 1) ? 0.25 : -0.25;
-                const double* row =
-                    coef + 4 * ((static_cast<std::size_t>(
-                                     (tk >> 1) - c_lo[2]) *
-                                     cn[1] +
-                                 ((tj >> 1) - c_lo[1])) *
-                                cn[0]);
-                for (int i = f_lo[0]; i <= f_hi[0]; ++i) {
-                    const int ti = i - lo[0] - ch.base[0];
-                    const double* q = row + 4 * ((ti >> 1) - c_lo[0]);
-                    double v = q[0];
-                    v += ((ti & 1) ? 0.25 : -0.25) * q[1];
-                    if (ndim >= 2)
-                        v += wj * q[2];
-                    if (ndim >= 3)
-                        v += wk * q[3];
-                    u(k, j, i) = v;
-                }
-            }
-        }
-    }
+void
+GhostExchange::copyBoundsChannel(const BoundsChannel& ch) const
+{
+    if (!ch.sender->hasData() || !ch.receiver->hasData())
+        panic("direct row between storage-less blocks ",
+              ch.sender->loc().str(), " -> ", ch.receiver->loc().str());
+    const int ncomp = mesh_->registry().ncompConserved();
+    const BlockShape shape = mesh_->config().blockShape();
+    const RealArray4& src = ch.sender->cons();
+    RealArray4& dst = ch.receiver->cons();
+    if (ch.levelDiff == 0)
+        copyRows(arrayRows(src, ch.send), arrayRows(dst, ch.recv), ncomp,
+                 ch.recv);
+    else if (ch.levelDiff == 1)
+        restrictRows(ch, shape, ncomp, src, arrayRows(dst, ch.recv));
+    else
+        prolongRows(ch, shape, ncomp, arrayRows(src, ch.send), dst);
 }
 
 void
@@ -370,45 +514,13 @@ GhostExchange::exchangeFluxCorrections()
 void
 GhostExchange::packFluxChannel(const FluxChannel& ch, double* out) const
 {
-    require(ch.sender->hasData(), "flux pack from a storage-less block ",
-            ch.sender->loc().str());
-    const int ncomp = mesh_->registry().ncompConserved();
-    const BlockShape shape = mesh_->config().blockShape();
-    const int ndim = shape.ndim;
-    const RealArray4& flux = ch.sender->flux(ch.dir);
-    const int lo[3] = {shape.is(), shape.js(), shape.ks()};
-    const int nfine = 1 << (ndim - 1);
-    const double inv = 1.0 / nfine;
-    std::size_t idx = 0;
-    for (int n = 0; n < ncomp; ++n)
-        for (int K = ch.recvFaces.k.lo; K <= ch.recvFaces.k.hi; ++K)
-            for (int J = ch.recvFaces.j.lo; J <= ch.recvFaces.j.hi; ++J)
-                for (int I = ch.recvFaces.i.lo; I <= ch.recvFaces.i.hi;
-                     ++I) {
-                    const int cidx[3] = {I, J, K};
-                    int f[3];
-                    for (int d = 0; d < 3; ++d) {
-                        if (d == ch.dir) {
-                            f[d] = ch.sendFaceIdx;
-                        } else if (d < ndim) {
-                            f[d] = lo[d] + 2 * (cidx[d] - lo[d]) -
-                                   ch.base2[d];
-                        } else {
-                            f[d] = 0;
-                        }
-                    }
-                    double sum = 0.0;
-                    for (int dk = 0;
-                         dk <= (ndim >= 3 && ch.dir != 2 ? 1 : 0); ++dk)
-                        for (int dj = 0;
-                             dj <= (ndim >= 2 && ch.dir != 1 ? 1 : 0);
-                             ++dj)
-                            for (int di = 0; di <= (ch.dir != 0 ? 1 : 0);
-                                 ++di)
-                                sum += flux(n, f[2] + dk, f[1] + dj,
-                                            f[0] + di);
-                    out[idx++] = sum * inv;
-                }
+    if (!ch.sender->hasData())
+        panic("flux pack from a storage-less block ",
+              ch.sender->loc().str());
+    restrictFluxRows(ch, mesh_->config().blockShape(),
+                     mesh_->registry().ncompConserved(),
+                     ch.sender->flux(ch.dir),
+                     payloadRows(out, ch.recvFaces));
 }
 
 void
@@ -417,18 +529,23 @@ GhostExchange::unpackFluxChannel(const FluxChannel& ch,
                                  std::size_t count) const
 {
     const int ncomp = mesh_->registry().ncompConserved();
-    // One size check up front, then unchecked indexing in the per-face
-    // loop, as in the bounds unpack.
     require(count == static_cast<std::size_t>(ch.wireFaces()) * ncomp,
             "flux-correction payload size mismatch");
-    RealArray4& flux = ch.receiver->flux(ch.dir);
-    std::size_t idx = 0;
-    for (int n = 0; n < ncomp; ++n)
-        for (int K = ch.recvFaces.k.lo; K <= ch.recvFaces.k.hi; ++K)
-            for (int J = ch.recvFaces.j.lo; J <= ch.recvFaces.j.hi; ++J)
-                for (int I = ch.recvFaces.i.lo; I <= ch.recvFaces.i.hi;
-                     ++I)
-                    flux(n, K, J, I) = payload[idx++];
+    copyRows(payloadRows(payload, ch.recvFaces),
+             arrayRows(ch.receiver->flux(ch.dir), ch.recvFaces), ncomp,
+             ch.recvFaces);
+}
+
+void
+GhostExchange::copyFluxChannel(const FluxChannel& ch) const
+{
+    if (!ch.sender->hasData() || !ch.receiver->hasData())
+        panic("direct flux row between storage-less blocks ",
+              ch.sender->loc().str(), " -> ", ch.receiver->loc().str());
+    restrictFluxRows(ch, mesh_->config().blockShape(),
+                     mesh_->registry().ncompConserved(),
+                     ch.sender->flux(ch.dir),
+                     arrayRows(ch.receiver->flux(ch.dir), ch.recvFaces));
 }
 
 void
@@ -523,6 +640,29 @@ GhostExchange::fusedRecvIds(PlanPhase phase) const
     return ids;
 }
 
+template <typename Fn>
+void
+GhostExchange::forEachDirect(PlanPhase phase, Fn&& fn) const
+{
+    // The shard rank's direct rows on a sharded replica; every rank's
+    // on a classic mesh, which plays all ranks' parts.
+    const int first = mesh_->sharded() ? mesh_->shardRank() : 0;
+    const int last = mesh_->sharded() ? first : world_->nranks() - 1;
+    for (int rank = first; rank <= last; ++rank) {
+        const PlanDirect& d = plan_.direct(phase, rank);
+        if (!d.entries.empty())
+            fn(rank, d);
+    }
+}
+
+std::size_t
+GhostExchange::directPairs(PlanPhase phase) const
+{
+    std::size_t pairs = 0;
+    forEachDirect(phase, [&](int, const PlanDirect&) { ++pairs; });
+    return pairs;
+}
+
 void
 GhostExchange::startReceiveBoundBufs()
 {
@@ -534,19 +674,21 @@ GhostExchange::startReceiveBoundBufs()
     last_send_bytes_.store(0);
     if (!world_->concurrent())
         discardStaleDeliveries();
-    const std::vector<int> inbound = fusedRecvIds(PlanPhase::Bounds);
     // One coalesced buffer to prepare per inbound rank pair — this is
-    // the point of the plan: O(ranks) bookkeeping, not O(faces).
+    // the point of the plan: O(ranks) bookkeeping, not O(faces). The
+    // self pair counts too: Parthenon prepares its local buffers.
+    const std::size_t inbound =
+        fusedRecvIds(PlanPhase::Bounds).size() +
+        directPairs(PlanPhase::Bounds);
     recordSerialAt(mesh_->ctx(), "StartReceiveBoundBufs",
                    mesh_->collectiveRank(), "recv_buf_prepare",
-                   static_cast<double>(inbound.size()));
+                   static_cast<double>(inbound));
 }
 
 void
 GhostExchange::beginFusedSend(PlanPhase phase)
 {
     const ExecContext& ctx = mesh_->ctx();
-    const bool bounds = phase == PlanPhase::Bounds;
     const auto& msgs = plan_.messages(phase);
     FusedRows& fr = fused_send_[static_cast<int>(phase)];
     fr = FusedRows{};
@@ -575,16 +717,10 @@ GhostExchange::beginFusedSend(PlanPhase phase)
             fr.payloads[s].resize(m.doubles);
         }
         for (const PlanEntry& e : m.entries) {
+            const EntryModel model = plan_.entryModel(phase, e.channel);
             fr.ranks.push_back(m.src);
-            fr.items.push_back(static_cast<double>(e.count));
-            if (bounds) {
-                const BoundsChannel& ch = cache_->bounds()[e.channel];
-                fr.innermost += rangeCount(
-                    ch.levelDiff == 1 ? ch.recv : ch.send, 0);
-            } else {
-                fr.innermost +=
-                    cache_->flux()[e.channel].recvFaces.i.count();
-            }
+            fr.items.push_back(model.packItems);
+            fr.innermost += model.packInnermost;
             if (ctx.executing())
                 fr.rows.push_back({e.channel,
                                    fr.payloads[s].data() + e.offset,
@@ -614,7 +750,17 @@ GhostExchange::endFusedSend(PlanPhase phase)
     const ExecContext& ctx = mesh_->ctx();
     const auto& msgs = plan_.messages(phase);
     FusedRows& fr = fused_send_[static_cast<int>(phase)];
-    if (fr.ids.empty())
+    // The same-rank pairs are modeled as Parthenon runs them: packed
+    // into a local buffer and sent to self. Their direct rows do
+    // neither, but the records keep the model's terms.
+    std::size_t nentries = fr.ranks.size();
+    forEachDirect(phase, [&](int rank, const PlanDirect& d) {
+        fr.ranks.push_back(rank);
+        fr.items.push_back(d.model.packItems);
+        fr.innermost += d.model.packInnermost;
+        nentries += d.entries.size();
+    });
+    if (nentries == 0)
         return;
     // The partitions together are ONE fused pack (and restrict) kernel
     // over every outbound channel of the phase.
@@ -622,23 +768,29 @@ GhostExchange::endFusedSend(PlanPhase phase)
         ctx, "SendBoundBufs", "SendBoundBufs", {1.0, 2.0 * sizeof(double)},
         fr.ranks.data(), fr.items.data(),
         static_cast<int>(fr.ranks.size()),
-        fr.innermost / static_cast<double>(fr.ranks.size()));
+        fr.innermost / static_cast<double>(nentries));
 
+    // Directory bookkeeping is one item per entry, but it is paid once
+    // per rank pair, not once per block.
+    auto account = [&](int src, bool remote, double bytes,
+                       std::size_t entries, std::int64_t wire_units) {
+        recordSerialAt(ctx, "SendBoundBufs", src,
+                       remote ? "msg_remote" : "msg_local", 1.0);
+        recordSerialAt(ctx, "SendBoundBufs", src,
+                       remote ? "msg_remote_bytes" : "msg_local_bytes",
+                       bytes);
+        recordSerialAt(ctx, "SendBoundBufs", src, "bound_buf_metadata",
+                       static_cast<double>(entries));
+        if (phase == PlanPhase::Bounds)
+            last_wire_cells_.fetch_add(wire_units);
+        countSend(bytes);
+    };
+    forEachDirect(phase, [&](int rank, const PlanDirect& d) {
+        account(rank, false, d.bytes, d.entries.size(), d.wireUnits);
+    });
     for (std::size_t s = 0; s < fr.ids.size(); ++s) {
         const PlanMessage& m = msgs[static_cast<std::size_t>(fr.ids[s])];
-        const bool remote = m.src != m.dst;
-        recordSerialAt(ctx, "SendBoundBufs", m.src,
-                       remote ? "msg_remote" : "msg_local", 1.0);
-        recordSerialAt(ctx, "SendBoundBufs", m.src,
-                       remote ? "msg_remote_bytes" : "msg_local_bytes",
-                       m.bytes);
-        // Directory bookkeeping is one item per entry, but it is paid
-        // once per rank pair, not once per block.
-        recordSerialAt(ctx, "SendBoundBufs", m.src, "bound_buf_metadata",
-                       static_cast<double>(m.entries.size()));
-        if (phase == PlanPhase::Bounds)
-            last_wire_cells_.fetch_add(m.wireUnits);
-        countSend(m.bytes);
+        account(m.src, true, m.bytes, m.entries.size(), m.wireUnits);
         world_->isend(m.id, m.src, m.dst, std::move(fr.payloads[s]),
                       m.bytes);
     }
@@ -665,6 +817,17 @@ GhostExchange::pollFusedMessage(const PlanMessage& msg)
     recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", msg.dst,
                    "recv_poll", 1.0);
     return true;
+}
+
+void
+GhostExchange::recordLocalPolls(PlanPhase phase)
+{
+    // Parthenon probes its local buffers like any other; the direct
+    // rows need no probe, so only the model's record remains.
+    forEachDirect(phase, [&](int rank, const PlanDirect&) {
+        recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", rank,
+                       "recv_poll", 1.0);
+    });
 }
 
 void
@@ -701,9 +864,10 @@ GhostExchange::receiveFusedPhase(PlanPhase phase)
                     "fused ghost exchange lost a coalesced ",
                     planPhaseName(phase), " message");
     }
+    // The self pair's modeled probe is part of the same bulk record.
     recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs",
                    mesh_->collectiveRank(), "recv_poll",
-                   static_cast<double>(ids.size()));
+                   static_cast<double>(ids.size() + directPairs(phase)));
 }
 
 void
@@ -722,8 +886,6 @@ void
 GhostExchange::beginFusedSet(PlanPhase phase)
 {
     const ExecContext& ctx = mesh_->ctx();
-    const bool bounds = phase == PlanPhase::Bounds;
-    const int ncomp = mesh_->registry().ncompConserved();
     const auto& msgs = plan_.messages(phase);
     FusedRows& fr = fused_set_[static_cast<int>(phase)];
     fr = FusedRows{};
@@ -749,18 +911,10 @@ GhostExchange::beginFusedSet(PlanPhase phase)
         fr.received.push_back(std::move(*msg));
         Message& stored = fr.received.back();
         for (const PlanEntry& e : m.entries) {
+            const EntryModel model = plan_.entryModel(phase, e.channel);
             fr.ranks.push_back(m.dst);
-            if (bounds) {
-                const BoundsChannel& ch = cache_->bounds()[e.channel];
-                fr.items.push_back(static_cast<double>(ch.recv.cells()) *
-                                   ncomp);
-                fr.innermost += ch.recv.i.count();
-            } else {
-                const FluxChannel& ch = cache_->flux()[e.channel];
-                fr.items.push_back(static_cast<double>(ch.wireFaces()) *
-                                   ncomp);
-                fr.innermost += ch.recvFaces.i.count();
-            }
+            fr.items.push_back(model.unpackItems);
+            fr.innermost += model.unpackInnermost;
             if (ctx.executing())
                 fr.rows.push_back({e.channel,
                                    stored.payload.data() + e.offset,
@@ -791,25 +945,57 @@ GhostExchange::unpackFusedPartition(PlanPhase phase, int part)
 }
 
 void
+GhostExchange::copyDirectPartition(PlanPhase phase, int part)
+{
+    // A direct row reads its sender's interior (or fine face fluxes)
+    // and writes its receiver's ghosts (or coarse faces): the same
+    // disjoint regions as a pack plus an unpack, so direct rows are
+    // independent of each other and of the cross-rank rows.
+    if (!mesh_->ctx().executing())
+        return;
+    const bool bounds = phase == PlanPhase::Bounds;
+    forEachDirect(phase, [&](int, const PlanDirect& d) {
+        for (int r = d.partStart[part]; r < d.partStart[part + 1]; ++r) {
+            const int channel =
+                d.entries[static_cast<std::size_t>(r)].channel;
+            if (bounds)
+                copyBoundsChannel(cache_->bounds()[channel]);
+            else
+                copyFluxChannel(cache_->flux()[channel]);
+        }
+    });
+}
+
+void
 GhostExchange::endFusedSet(PlanPhase phase)
 {
     const ExecContext& ctx = mesh_->ctx();
     const bool bounds = phase == PlanPhase::Bounds;
     const auto& msgs = plan_.messages(phase);
     FusedRows& fr = fused_set_[static_cast<int>(phase)];
-    if (fr.ids.empty())
+    std::size_t nentries = fr.ranks.size();
+    forEachDirect(phase, [&](int rank, const PlanDirect& d) {
+        fr.ranks.push_back(rank);
+        fr.items.push_back(d.model.unpackItems);
+        fr.innermost += d.model.unpackInnermost;
+        nentries += d.entries.size();
+    });
+    if (nentries == 0)
         return;
     // One fused unpack (and prolongate) kernel over every inbound
-    // entry, however many partitions ran it.
+    // entry, however many partitions ran it, direct rows included.
     const KernelCosts costs =
         bounds ? KernelCosts{1.0, 2.0 * sizeof(double)}
                : KernelCosts{0.0, 2.0 * sizeof(double)};
     recordPackKernelItems(ctx, "SetBounds", "SetBounds", costs,
                           fr.ranks.data(), fr.items.data(),
                           static_cast<int>(fr.ranks.size()),
-                          fr.innermost /
-                              static_cast<double>(fr.ranks.size()));
+                          fr.innermost / static_cast<double>(nentries));
     if (bounds) {
+        forEachDirect(phase, [&](int rank, const PlanDirect& d) {
+            recordSerialAt(ctx, "SetBounds", rank, "bound_buf_metadata",
+                           static_cast<double>(d.entries.size()));
+        });
         for (int id : fr.ids) {
             const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
             recordSerialAt(ctx, "SetBounds", m.dst,
@@ -833,6 +1019,7 @@ GhostExchange::setFusedPhase(PlanPhase phase)
     parForExecRows(mesh_->ctx(), 0, kFusedPartitions - 1, 0, 0,
                    [&](int, int part, int) {
                        unpackFusedPartition(phase, part);
+                       copyDirectPartition(phase, part);
                    });
     endFusedSet(phase);
 }
@@ -840,30 +1027,10 @@ GhostExchange::setFusedPhase(PlanPhase phase)
 void
 GhostExchange::FusedRows::split()
 {
-    // Contiguous row ranges of near-equal item cost: row r joins the
-    // partition its cost midpoint falls in. The split depends only on
-    // the plan (never on the thread count), so the task graph, and
-    // every traced event count, is the same at any concurrency.
-    const int n = static_cast<int>(rows.size());
-    partStart.assign(kFusedPartitions + 1, n);
-    partStart[0] = 0;
-    double total = 0;
-    for (int r = 0; r < n; ++r)
-        total += items[static_cast<std::size_t>(r)];
-    if (total <= 0)
-        return;
-    double prefix = 0;
-    int part = 0;
-    for (int r = 0; r < n; ++r) {
-        const double cost = items[static_cast<std::size_t>(r)];
-        const int p = std::min(
-            kFusedPartitions - 1,
-            static_cast<int>(kFusedPartitions * (prefix + 0.5 * cost) /
-                             total));
-        while (part < p)
-            partStart[++part] = r;
-        prefix += cost;
-    }
+    // Rows exist in numeric mode only; in counting mode every
+    // partition is empty.
+    partStart = splitRowsByCost(rows.empty() ? std::vector<double>{}
+                                             : items);
 }
 
 } // namespace vibe

@@ -539,6 +539,7 @@ TaskId
 EvolutionDriver::addFusedRowTasks(TaskList& tl, const std::string& name,
                                   PlanPhase phase, bool send,
                                   std::vector<TaskId> deps,
+                                  std::vector<TaskId> end_deps,
                                   std::function<void()> after_end)
 {
     const TaskId t_begin = tl.addTask(
@@ -553,10 +554,9 @@ EvolutionDriver::addFusedRowTasks(TaskList& tl, const std::string& name,
         std::move(deps), TaskCategory::Comm);
     // The ":part<p>" suffix is non-numeric on purpose: the measured
     // cost harvest would otherwise fold partition p's clock onto gid p.
-    std::vector<TaskId> parts;
-    parts.reserve(GhostExchange::kFusedPartitions);
+    end_deps.reserve(end_deps.size() + GhostExchange::kFusedPartitions);
     for (int p = 0; p < GhostExchange::kFusedPartitions; ++p)
-        parts.push_back(tl.addTask(
+        end_deps.push_back(tl.addTask(
             name + ":part" + std::to_string(p),
             [this, phase, send, p] {
                 if (send)
@@ -577,7 +577,25 @@ EvolutionDriver::addFusedRowTasks(TaskList& tl, const std::string& name,
                 after_end();
             return TaskStatus::Complete;
         },
-        std::move(parts), TaskCategory::Comm);
+        std::move(end_deps), TaskCategory::Comm);
+}
+
+std::vector<TaskId>
+EvolutionDriver::addDirectRowTasks(TaskList& tl, const std::string& name,
+                                   PlanPhase phase,
+                                   const std::vector<TaskId>& deps)
+{
+    std::vector<TaskId> parts;
+    parts.reserve(GhostExchange::kFusedPartitions);
+    for (int p = 0; p < GhostExchange::kFusedPartitions; ++p)
+        parts.push_back(tl.addTask(
+            name + ":local:part" + std::to_string(p),
+            [this, phase, p] {
+                exchange_.copyDirectPartition(phase, p);
+                return TaskStatus::Complete;
+            },
+            deps, TaskCategory::Comm));
+    return parts;
 }
 
 EvolutionDriver::FusedBoundsIds
@@ -594,18 +612,19 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
     ids.send = addFusedRowTasks(tl, "SendBoundBufs:plan:bounds",
                                 PlanPhase::Bounds, /*send=*/true,
                                 {t_start});
+    // Same-rank entries are direct rows: they read live interiors and
+    // write ghosts, so they overlap the cross-rank pack, send and poll.
+    std::vector<TaskId> local = addDirectRowTasks(
+        tl, "SetBounds:plan:bounds", PlanPhase::Bounds, {t_start});
     // One poll per inbound coalesced message: O(rank pairs), not
-    // O(blocks). A message this replica sends itself (the self pair of
-    // a rank shard; every pair on a classic mesh, which plays all
-    // ranks' parts) cannot arrive before the send's end step isends
-    // it, so its poll waits on that step rather than spinning through
-    // the partitions. Only polls for a peer rank's messages start at
-    // t_start, since those may land early.
+    // O(blocks). A peer rank's message may land early, so its poll
+    // starts at t_start. A classic mesh plays every rank's part and
+    // sends each message itself, so its polls wait on the send.
+    const TaskId poll_dep = mesh_->sharded() ? t_start : ids.send;
     std::vector<TaskId> polls;
     const auto& msgs = exchange_.plan().messages(PlanPhase::Bounds);
     for (int id : exchange_.fusedRecvIds(PlanPhase::Bounds)) {
         const PlanMessage* m = &msgs[static_cast<std::size_t>(id)];
-        const bool own = !mesh_->sharded() || m->src == m->dst;
         polls.push_back(tl.addTask(
             "ReceiveBoundBufs:plan:bounds:r" + std::to_string(m->src) +
                 ">r" + std::to_string(m->dst),
@@ -614,13 +633,18 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
                            ? TaskStatus::Complete
                            : TaskStatus::Iterate;
             },
-            {own ? ids.send : t_start}, TaskCategory::Comm));
+            {poll_dep}, TaskCategory::Comm));
     }
+    // The set's end step also waits for the send: it hands the payloads
+    // it consumed to the next send, which must have taken this stage's
+    // (the flux chain gets the same order from its apply's begin).
+    local.push_back(ids.send);
     ids.set = addFusedRowTasks(
         tl, "SetBounds:plan:bounds", PlanPhase::Bounds, /*send=*/false,
-        std::move(polls), [this] {
-            // Physical fills run after ALL unpacks: each block's
-            // ghosts are unpacked first, then filled.
+        std::move(polls), std::move(local), [this] {
+            exchange_.recordLocalPolls(PlanPhase::Bounds);
+            // Physical fills run after ALL unpacks and direct rows:
+            // each block's ghosts are filled from its neighbors first.
             for (MeshBlock* block : mesh_->ownedBlocks())
                 exchange_.applyPhysicalBoundariesBlock(*block);
         });
@@ -631,6 +655,10 @@ TaskId
 EvolutionDriver::addFusedFluxCorrTasks(TaskList& tl,
                                        std::vector<TaskId> deps)
 {
+    // Direct flux rows read fine face fluxes and overwrite coarse ones,
+    // so like the send they wait for every flux task.
+    std::vector<TaskId> local = addDirectRowTasks(
+        tl, "FluxCorrApply:plan:flux", PlanPhase::Flux, deps);
     const TaskId t_fsend =
         addFusedRowTasks(tl, "FluxCorrSend:plan:flux", PlanPhase::Flux,
                          /*send=*/true, std::move(deps));
@@ -648,25 +676,36 @@ EvolutionDriver::addFusedFluxCorrTasks(TaskList& tl,
             },
             {t_fsend}, TaskCategory::Comm));
     }
-    return addFusedRowTasks(tl, "FluxCorrApply:plan:flux",
-                            PlanPhase::Flux, /*send=*/false,
-                            std::move(apply_deps));
+    return addFusedRowTasks(
+        tl, "FluxCorrApply:plan:flux", PlanPhase::Flux, /*send=*/false,
+        std::move(apply_deps), std::move(local),
+        [this] { exchange_.recordLocalPolls(PlanPhase::Flux); });
 }
 
 /**
  * One RK stage (paper §II-C) as a task graph: the boundary side is the
  * plan's fused chain, O(rank pairs) tasks plus a fixed partition count,
- * never O(blocks x faces). Each fused send or set is a serial begin
- * step, GhostExchange::kFusedPartitions row-partition tasks that every
- * worker of the rank can pick up, and a serial end step; one poll runs
- * per inbound coalesced message. The interior is a per-block chain
- * (fluxes -> divergence -> update). Tasks for distinct blocks touch
- * only their own block's data and the partitions write disjoint rows,
- * which is what makes threaded execution bitwise identical to the
- * serial scan. Per-block receive/compute overlap on the boundary side
- * is traded for one message per phase per rank pair; the interior
- * stays one task per block, the engine's only interior path (a fused
- * launch over all blocks measured 0.86-0.98x of this graph).
+ * never O(blocks x faces). Each cross-rank send or set is a serial
+ * begin step, GhostExchange::kFusedPartitions row-partition tasks that
+ * every worker of the rank can pick up, and a serial end step; one poll
+ * runs per inbound coalesced message. Same-rank entries run as
+ * kFusedPartitions direct-row tasks (`:local:part<p>`) that gate the
+ * set's end step. The interior is a per-block chain (fluxes ->
+ * divergence -> update). Tasks for distinct blocks touch only their
+ * own block's data and the partitions write disjoint rows, which is
+ * what makes threaded execution bitwise identical to the serial scan.
+ * Per-block receive/compute overlap on the boundary side is traded for
+ * one message per phase per rank pair; the interior stays one task per
+ * block, the engine's only interior path (a fused launch over all
+ * blocks measured 0.86-0.98x of this graph).
+ *
+ * Ordering contract: a direct row reads its sender's live interior
+ * (bounds) or fine face fluxes (flux), with no payload snapshot in
+ * between. Every WeightedSumData therefore trails every bounds direct
+ * row through update <- divergence <- fluxes (or flux apply end) <-
+ * set end <- direct rows, and every FluxDivergence trails every flux
+ * direct row through the apply end. Any finer-grained dependency must
+ * keep both edges; test_interior_path checks them on a sharded graph.
  */
 TaskList
 EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
@@ -709,8 +748,10 @@ EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
                 return TaskStatus::Complete;
             },
             {flux_correction ? t_fapply : flux_tasks[b]});
-        // The update rewrites the interior the fused send's partitions
-        // read, so it must trail the send's end step.
+        // The update rewrites the interior that the cross-rank send's
+        // partitions and the direct rows read: it trails the send's
+        // end step explicitly, and every direct row through t_div
+        // (divergence <- fluxes <- set end <- direct rows).
         tl.addTask(
             "WeightedSumData:" + gid,
             [this, block, stage] {

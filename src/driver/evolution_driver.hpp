@@ -251,6 +251,13 @@ class EvolutionDriver
     BoundaryBufferCache& bufferCache() { return cache_; }
     GhostExchange& exchange() { return exchange_; }
 
+    /**
+     * One RK stage: fused bounds, per-block interior, fused flux. Must
+     * be called at a serial point (it may rebuild the plan). Public so
+     * graph-structure tests can check its ordering edges.
+     */
+    TaskList buildStageGraph(int stage, bool flux_correction);
+
   private:
     void step();
     /** Partitioner tuning from the driver config (every lb call). */
@@ -268,32 +275,42 @@ class EvolutionDriver
         TaskId send = -1, set = -1;
     };
     /**
-     * Add one fused send (or set) of `phase` as `name:begin` (gated on
-     * `deps`) -> GhostExchange::kFusedPartitions `name:part<p>` tasks
-     * -> `name:end`, which runs `after_end` (if any) last; returns the
-     * end task id.
+     * Add one fused cross-rank send (or set) of `phase` as `name:begin`
+     * (gated on `deps`) -> GhostExchange::kFusedPartitions
+     * `name:part<p>` tasks -> `name:end`, which also waits on
+     * `end_deps` and runs `after_end` (if any) last; returns the end
+     * task id.
      */
     TaskId addFusedRowTasks(TaskList& tl, const std::string& name,
                             PlanPhase phase, bool send,
                             std::vector<TaskId> deps,
+                            std::vector<TaskId> end_deps = {},
                             std::function<void()> after_end = {});
     /**
-     * Add the fused bounds chain: start -> fused send (begin ->
+     * Add GhostExchange::kFusedPartitions `name:local:part<p>` tasks
+     * running this replica's direct rows of `phase`, each gated on
+     * `deps`; returns their ids (the set's end step must wait on them).
+     */
+    std::vector<TaskId> addDirectRowTasks(TaskList& tl,
+                                          const std::string& name,
+                                          PlanPhase phase,
+                                          const std::vector<TaskId>& deps);
+    /**
+     * Add the fused bounds chain: start -> cross-rank send (begin ->
      * partitions -> end) -> one poll per inbound coalesced message ->
-     * fused set (begin -> partitions -> end, plus the physical-boundary
-     * fill). O(rank pairs) tasks per phase instead of O(blocks).
+     * set (begin -> partitions -> end, plus the physical-boundary
+     * fill), with the direct-row partitions running from start to the
+     * set's end. O(rank pairs) tasks per phase instead of O(blocks).
      * Requires a current plan (the graph builders call ensureBuilt()
      * first, at a serial point).
      */
     FusedBoundsIds addFusedBoundsTasks(TaskList& tl);
     /**
-     * Add the fused flux-correction chain (send, polls, apply; send and
-     * apply partitioned like the bounds chain) gated on `deps`; returns
-     * the apply end task id.
+     * Add the fused flux-correction chain (direct rows, send, polls,
+     * apply; partitioned like the bounds chain) gated on `deps`;
+     * returns the apply end task id.
      */
     TaskId addFusedFluxCorrTasks(TaskList& tl, std::vector<TaskId> deps);
-    /** One RK stage: fused bounds, per-block interior, fused flux. */
-    TaskList buildStageGraph(int stage, bool flux_correction);
     /** Execution options for stage graphs (space + peer-wait policy). */
     TaskExecOptions stageExecOptions() const;
     /**

@@ -114,6 +114,13 @@ class TaskList
     /** Number of tasks added. */
     std::size_t size() const { return tasks_.size(); }
 
+    /** Name and direct dependencies of a task (structure checks). */
+    const std::string& name(TaskId id) const { return tasks_.at(id).name; }
+    const std::vector<TaskId>& deps(TaskId id) const
+    {
+        return tasks_.at(id).deps;
+    }
+
     /**
      * Label this graph for diagnostics: stall/deadlock panics prefix
      * the incomplete-task listing with it, so a report names the graph

@@ -130,11 +130,13 @@ Mesh::Mesh(const MeshConfig& config, const VariableRegistry& registry,
         const BlockShape shape = config_.blockShape();
         const std::size_t slab = static_cast<std::size_t>(shape.ni()) *
                                  shape.ni() * sizeof(double);
-        const std::size_t recon_pool_bytes =
-            kThreadBlocks * 6 * slab *
-            static_cast<std::size_t>(registry_->ncompConserved());
-        if (ctx_->tracker())
-            ctx_->tracker()->allocate("mesh/recon_pool", recon_pool_bytes);
+        if (ctx_->tracker()) {
+            recon_pool_bytes_ =
+                kThreadBlocks * 6 * slab *
+                static_cast<std::size_t>(registry_->ncompConserved());
+            ctx_->tracker()->allocate("mesh/recon_pool",
+                                      recon_pool_bytes_);
+        }
     }
 
     for (const auto& loc : tree_.leavesZOrder())
@@ -147,6 +149,14 @@ Mesh::Mesh(const MeshConfig& config, const VariableRegistry& registry,
         realizeBlock(*block);
     renumber();
     rebuildNeighbors();
+}
+
+Mesh::~Mesh()
+{
+    // The shared-scratch model term lives as long as the mesh, so a
+    // tracker shared by several meshes counts only the live ones.
+    if (recon_pool_bytes_ > 0)
+        ctx_->tracker()->deallocate("mesh/recon_pool", recon_pool_bytes_);
 }
 
 std::unique_ptr<MeshBlock>

@@ -117,6 +117,10 @@ class Mesh
      */
     Mesh(const MeshConfig& config, const VariableRegistry& registry,
          const ExecContext& ctx, int shard_rank = -1);
+    /** Releases the `mesh/recon_pool` model term, if registered. */
+    ~Mesh();
+    Mesh(const Mesh&) = delete;
+    Mesh& operator=(const Mesh&) = delete;
 
     const MeshConfig& config() const { return config_; }
     const VariableRegistry& registry() const { return *registry_; }
@@ -258,6 +262,8 @@ class Mesh
     BlockTree tree_;
     /** Declared before blocks_ so every block dies before the pool. */
     std::unique_ptr<BlockMemoryPool> pool_;
+    /** Bytes of the `mesh/recon_pool` model term (optimizeAuxMemory). */
+    std::size_t recon_pool_bytes_ = 0;
     std::vector<std::unique_ptr<MeshBlock>> blocks_;
     std::vector<MeshBlock*> owned_blocks_;
     std::unordered_map<LogicalLocation, int, LogicalLocationHash>

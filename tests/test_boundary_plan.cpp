@@ -11,6 +11,10 @@
  * - Elision: rank pairs that share no boundary get no PlanMessage at
  *   all; the offset directory of a real message tiles its payload
  *   exactly.
+ * - Direct rows: same-rank entries never become messages; each rank's
+ *   direct table holds exactly its same-rank channels, in canonical
+ *   channel order whatever the cache's storage order, split into
+ *   kPlanPartitions contiguous ranges.
  * - Equivalence: rank-sharded runs are bitwise identical to the
  *   classic run at the same thread count for both physics packages
  *   across 1/2/4 threads and 2/4 ranks, through mid-run remeshes and
@@ -22,6 +26,7 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "comm/boundary_buffers.hpp"
@@ -53,14 +58,14 @@ struct PlanFixture
     BoundaryBufferCache cache;
     BoundaryPlan plan;
 
-    explicit PlanFixture(const MeshConfig& config, int nranks)
+    explicit PlanFixture(const MeshConfig& config, int nranks,
+                         bool randomize_keys = false)
         : package(makePackage("advection")),
           registry(package->buildRegistry()),
           ctx(ExecMode::Execute, &profiler, &tracker,
               makeExecutionSpace(1)),
           mesh(config, registry, ctx), world(nranks),
-          cache(mesh, /*randomize_keys=*/false),
-          plan(mesh, cache, world)
+          cache(mesh, randomize_keys), plan(mesh, cache, world)
     {
     }
 };
@@ -197,6 +202,122 @@ TEST(BoundaryPlanDirectory, NonAdjacentRankPairsAreElided)
     EXPECT_EQ(fx.plan.recvIds(PlanPhase::Bounds, 0).size(), 1u);
     EXPECT_EQ(fx.plan.sendIds(PlanPhase::Bounds, 1).size(), 2u);
     EXPECT_EQ(fx.plan.recvIds(PlanPhase::Bounds, 2).size(), 2u);
+    // One block per rank: no same-rank neighbour, no direct rows.
+    for (int rank = 0; rank < 4; ++rank)
+        EXPECT_TRUE(fx.plan.direct(PlanPhase::Bounds, rank).entries.empty());
+}
+
+/** The cache's canonical channel key (receiver, sender, offset). */
+auto
+canonicalKey(const ChannelId& id)
+{
+    return std::make_tuple(id.receiver.level, id.receiver.lx3,
+                           id.receiver.lx2, id.receiver.lx1,
+                           id.sender.level, id.sender.lx3, id.sender.lx2,
+                           id.sender.lx1, id.o1, id.o2, id.o3);
+}
+
+TEST(BoundaryPlanDirectory, SameRankEntriesAreDirectRowsInCanonicalOrder)
+{
+    // A 4 x 2 x 1 slab of blocks, non-periodic, split into two 2 x 2
+    // halves by lx1, with one block per half refined so both ranks
+    // hold bounds and flux direct rows and cross-rank messages. Built
+    // twice: with sorted and with shuffled cache storage.
+    MeshConfig config;
+    config.nx1 = 32;
+    config.nx2 = 16;
+    config.nx3 = 8;
+    config.blockNx1 = config.blockNx2 = config.blockNx3 = 8;
+    config.amrLevels = 2;
+    config.periodic = false;
+    config.numRanks = 2;
+    std::vector<std::vector<ChannelId>> tables;
+    for (bool randomize : {false, true}) {
+        PlanFixture fx(config, 2, randomize);
+        RefinementFlagMap flags;
+        flags[{0, 1, 0, 0}] = RefinementFlag::Refine;
+        flags[{0, 2, 0, 0}] = RefinementFlag::Refine;
+        fx.mesh.applyTreeUpdate(fx.mesh.updateTree(flags), 0);
+        for (const auto& block : fx.mesh.blocks())
+            block->setRank(block->loc().lx1 < (block->loc().level == 0
+                                                   ? 2
+                                                   : 4)
+                               ? 0
+                               : 1);
+        fx.cache.rebuild();
+        fx.plan.ensureBuilt();
+
+        for (PlanPhase phase : {PlanPhase::Bounds, PlanPhase::Flux}) {
+            const bool bounds = phase == PlanPhase::Bounds;
+            const std::size_t nchannels =
+                bounds ? fx.cache.bounds().size() : fx.cache.flux().size();
+            auto ends = [&](int c) {
+                return bounds ? std::make_pair(
+                                    fx.cache.bounds()[c].sender->rank(),
+                                    fx.cache.bounds()[c].receiver->rank())
+                              : std::make_pair(
+                                    fx.cache.flux()[c].sender->rank(),
+                                    fx.cache.flux()[c].receiver->rank());
+            };
+            auto id_of = [&](int c) -> const ChannelId& {
+                return bounds ? fx.cache.bounds()[c].id
+                              : fx.cache.flux()[c].id;
+            };
+            std::size_t direct_total = 0, message_total = 0;
+            for (const PlanMessage& m : fx.plan.messages(phase)) {
+                EXPECT_NE(m.src, m.dst) << planPhaseName(phase);
+                message_total += m.entries.size();
+            }
+            for (int rank = 0; rank < 2; ++rank) {
+                EXPECT_EQ(fx.plan.messageFor(phase, rank, rank), nullptr);
+                const PlanDirect& d = fx.plan.direct(phase, rank);
+                std::size_t expect = 0;
+                for (std::size_t c = 0; c < nchannels; ++c)
+                    expect += ends(static_cast<int>(c)) ==
+                              std::make_pair(rank, rank);
+                EXPECT_EQ(d.entries.size(), expect)
+                    << planPhaseName(phase) << " rank " << rank;
+                EXPECT_GT(d.entries.size(), 0u)
+                    << planPhaseName(phase) << " rank " << rank;
+                direct_total += d.entries.size();
+                std::size_t doubles = 0;
+                std::vector<ChannelId> ids;
+                for (std::size_t e = 0; e < d.entries.size(); ++e) {
+                    const int c = d.entries[e].channel;
+                    EXPECT_EQ(ends(c), std::make_pair(rank, rank));
+                    EXPECT_EQ(d.entries[e].offset, doubles);
+                    doubles += d.entries[e].count;
+                    if (e > 0)
+                        EXPECT_LT(canonicalKey(id_of(
+                                      d.entries[e - 1].channel)),
+                                  canonicalKey(id_of(c)));
+                    ids.push_back(id_of(c));
+                }
+                EXPECT_EQ(d.doubles, doubles);
+                EXPECT_EQ(d.bytes,
+                          static_cast<double>(doubles) * sizeof(double));
+                // The plan-time split tiles the table in order.
+                ASSERT_EQ(d.partStart.size(),
+                          static_cast<std::size_t>(kPlanPartitions + 1));
+                EXPECT_EQ(d.partStart.front(), 0);
+                EXPECT_EQ(d.partStart.back(),
+                          static_cast<int>(d.entries.size()));
+                for (int p = 0; p < kPlanPartitions; ++p)
+                    EXPECT_LE(d.partStart[p], d.partStart[p + 1]);
+                tables.push_back(std::move(ids));
+            }
+            // Every channel is a direct row or a message entry, once.
+            EXPECT_EQ(direct_total + message_total, nchannels);
+        }
+    }
+    // Sorted and shuffled caches give the same direct tables.
+    ASSERT_EQ(tables.size(), 8u);
+    for (std::size_t t = 0; t < 4; ++t) {
+        ASSERT_EQ(tables[t].size(), tables[t + 4].size());
+        for (std::size_t e = 0; e < tables[t].size(); ++e)
+            EXPECT_EQ(canonicalKey(tables[t][e]),
+                      canonicalKey(tables[t + 4][e]));
+    }
 }
 
 // --- Rank-sharded vs classic bitwise equivalence ---------------------

@@ -128,6 +128,17 @@ struct CommFixture
         mesh->applyTreeUpdate(mesh->updateTree(flags), 0);
         cache->rebuild();
     }
+
+    /** Contiguous gid slices per world rank, then a channel rebuild. */
+    void assignRanks()
+    {
+        const std::size_t nblocks = mesh->numBlocks();
+        for (std::size_t gid = 0; gid < nblocks; ++gid)
+            mesh->block(static_cast<int>(gid))
+                .setRank(static_cast<int>(gid * world->nranks() /
+                                          nblocks));
+        cache->rebuild();
+    }
 };
 
 // --- Region calculus ---
@@ -473,8 +484,10 @@ TEST(GhostExchange, AbandonedCycleDoesNotLeavePhantomMessages)
     // cycle right after its sends —
     // exactly the state an exception thrown mid-cycle leaves behind —
     // and the next full exchange must neither wait on phantom
-    // messages nor deliver the stale ones.
-    CommFixture f(16, 8, 1, ExecMode::Execute);
+    // messages nor deliver the stale ones. Two ranks: only cross-rank
+    // entries travel through the mailbox.
+    CommFixture f(16, 8, 1, ExecMode::Execute, 2);
+    f.assignRanks();
     fillInterior(*f.mesh);
 
     f.exchange->plan().ensureBuilt();
@@ -517,8 +530,9 @@ TEST(FluxCorrection, ConservationHoldsOnSerialAndThreadPoolSpaces)
     // across a 2-level mesh after exchangeFluxCorrections(), with real
     // solver fluxes (not synthetic fills), on both execution backends.
     for (int threads : {1, 4}) {
-        CommFixture f(16, 8, 2, ExecMode::Execute, 1, false, threads);
+        CommFixture f(16, 8, 2, ExecMode::Execute, 2, false, threads);
         f.refineAt({0, 0, 0, 0});
+        f.assignRanks();
         fillInterior(*f.mesh);
         f.exchange->exchangeBounds();
 

@@ -10,9 +10,14 @@
  *   3-level meshes in 1D, 2D and 3D, on 1-, 2- and 4-rank worlds, and
  *   again after a refine + derefine through the same GhostExchange
  *   (the plan is then rebuilt via the cache's rebuild hook).
+ *   Same-rank entries run as direct rows, cross-rank ones as payload
+ *   rows: the 1-rank runs cover direct rows of every class (same-level
+ *   copy, restrict, prolong, flux restrict), the 2- and 4-rank runs
+ *   both kinds of row.
  * - Buffer reuse: once warm, an exchange on an unchanged mesh
  *   allocates nothing of payload size; the coalesced payloads are
- *   recycled from the previous exchange's receives.
+ *   recycled from the previous exchange's receives, and a 1-rank
+ *   world, all direct rows, touches neither payloads nor the mailbox.
  */
 #include <gtest/gtest.h>
 
@@ -228,10 +233,43 @@ expectStatesEqual(const MeshState& oracle, const MeshState& fused,
     }
 }
 
+/** Which kinds of row a plan runs. */
+struct RowKinds
+{
+    /** Direct bounds rows by sender level - receiver level + 1. */
+    int directBounds[3] = {0, 0, 0};
+    int directFlux = 0;
+    /** Cross-rank payload entries per phase. */
+    int payloadBounds = 0;
+    int payloadFlux = 0;
+};
+
+RowKinds
+rowKinds(ExchangeFixture& fx)
+{
+    const BoundaryPlan& plan = fx.exchange.plan();
+    RowKinds kinds;
+    for (int rank = 0; rank < fx.world.nranks(); ++rank) {
+        for (const PlanEntry& e :
+             plan.direct(PlanPhase::Bounds, rank).entries)
+            ++kinds.directBounds[fx.cache.bounds()[e.channel].levelDiff +
+                                 1];
+        kinds.directFlux += static_cast<int>(
+            plan.direct(PlanPhase::Flux, rank).entries.size());
+    }
+    for (const PlanMessage& m : plan.messages(PlanPhase::Bounds))
+        kinds.payloadBounds += static_cast<int>(m.entries.size());
+    for (const PlanMessage& m : plan.messages(PlanPhase::Flux))
+        kinds.payloadFlux += static_cast<int>(m.entries.size());
+    return kinds;
+}
+
 /**
  * Random state, then the oracle and the fused exchange from the same
  * starting point: ghosts after exchangeBounds() + the physical fill,
- * fluxes after exchangeFluxCorrections().
+ * fluxes after exchangeFluxCorrections(). Checks that the exchange ran
+ * direct rows of every class on a 1-rank world and both kinds of row
+ * on a multi-rank one.
  */
 void
 expectFusedMatchesOracle(ExchangeFixture& fx, std::mt19937_64& rng,
@@ -251,6 +289,22 @@ expectFusedMatchesOracle(ExchangeFixture& fx, std::mt19937_64& rng,
     fx.exchange.exchangeFluxCorrections();
     EXPECT_EQ(fx.world.pendingCount(), 0u) << what;
     expectStatesEqual(oracle, captureState(fx.mesh), what);
+
+    const RowKinds kinds = rowKinds(fx);
+    if (fx.world.nranks() == 1) {
+        EXPECT_GT(kinds.directBounds[0], 0) << what << ": prolong";
+        EXPECT_GT(kinds.directBounds[1], 0) << what << ": same level";
+        EXPECT_GT(kinds.directBounds[2], 0) << what << ": restrict";
+        EXPECT_GT(kinds.directFlux, 0) << what << ": flux";
+        EXPECT_EQ(kinds.payloadBounds + kinds.payloadFlux, 0) << what;
+    } else {
+        EXPECT_GT(kinds.directBounds[0] + kinds.directBounds[1] +
+                      kinds.directBounds[2],
+                  0)
+            << what;
+        EXPECT_GT(kinds.payloadBounds, 0) << what;
+        EXPECT_GT(kinds.directFlux + kinds.payloadFlux, 0) << what;
+    }
 }
 
 /** Refine a random subset (at least one) of the level-`level` leaves. */
@@ -357,6 +411,57 @@ TEST(FusedExchangeBuffers, SteadyExchangeAllocatesNoPayload)
             << planPhaseName(phase) << ": allocations of at least "
             << smallest * sizeof(double) << " bytes";
     }
+}
+
+TEST(FusedExchangeBuffers, SameRankExchangeSkipsMailboxAndPayloads)
+{
+    // A 1-rank world: every entry is a direct row, so a warm exchange
+    // sends nothing through the mailbox and allocates no payload,
+    // while lastBoundaryMessages/Bytes still count the modeled self
+    // messages.
+    MeshConfig config;
+    config.nx1 = config.nx2 = config.nx3 = 16;
+    config.blockNx1 = config.blockNx2 = config.blockNx3 = 8;
+    config.amrLevels = 2;
+    ExchangeFixture fx(config, 1, 2);
+    RefinementFlagMap flags;
+    flags[{0, 0, 0, 0}] = RefinementFlag::Refine;
+    fx.remesh(flags);
+    std::mt19937_64 rng(11);
+    randomizeState(fx.mesh, rng);
+
+    for (int warmup = 0; warmup < 2; ++warmup) {
+        fx.exchange.exchangeBounds();
+        fx.exchange.exchangeFluxCorrections();
+    }
+    const BoundaryPlan& plan = fx.exchange.plan();
+    ASSERT_TRUE(plan.current());
+    std::size_t smallest = 0;
+    double modeled_bytes = 0;
+    for (PlanPhase phase : {PlanPhase::Bounds, PlanPhase::Flux}) {
+        EXPECT_TRUE(plan.messages(phase).empty()) << planPhaseName(phase);
+        const PlanDirect& d = plan.direct(phase, 0);
+        ASSERT_FALSE(d.entries.empty()) << planPhaseName(phase);
+        smallest = smallest == 0 ? d.doubles : std::min(smallest, d.doubles);
+        modeled_bytes += d.bytes;
+    }
+
+    const Traffic before = fx.world.traffic();
+    {
+        const LargeAllocationCounter counter(smallest * sizeof(double));
+        fx.exchange.exchangeBounds();
+        fx.exchange.exchangeFluxCorrections();
+        EXPECT_EQ(counter.count(), 0)
+            << "allocations of at least " << smallest * sizeof(double)
+            << " bytes";
+    }
+    const Traffic after = fx.world.traffic();
+    EXPECT_EQ(after.localMessages, before.localMessages);
+    EXPECT_EQ(after.remoteMessages, before.remoteMessages);
+    EXPECT_EQ(after.boundaryMessages, before.boundaryMessages);
+    EXPECT_EQ(fx.world.pendingCount(), 0u);
+    EXPECT_EQ(fx.exchange.lastBoundaryMessages(), 2u);
+    EXPECT_EQ(fx.exchange.lastBoundaryBytes(), modeled_bytes);
 }
 
 } // namespace

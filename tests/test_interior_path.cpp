@@ -5,7 +5,9 @@
  * workers) is bitwise identical to the serial run across the
  * restructure, and the §VIII-B shared-scratch memory layout
  * (`optimizeAuxMemory`, a model term only) leaves results bitwise
- * unchanged.
+ * unchanged. On a rank-sharded 3-level mesh, the stage graph orders
+ * every update after every direct boundary row that reads a live
+ * interior, and every divergence after every direct flux row.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "exec/kernel_profiler.hpp"
 #include "exec/memory_tracker.hpp"
 #include "pkg/burgers_package.hpp"
+#include "shard_harness.hpp"
 
 namespace vibe {
 namespace {
@@ -140,6 +143,95 @@ TEST(InteriorPath, SharedScratchLayoutMatchesBitwise)
         expectBitwiseEqual(per_block_scratch, shared,
                            "shared-scratch layout @" +
                                std::to_string(threads) + " threads");
+    }
+}
+
+/** Task ids whose names start with `prefix`. */
+std::vector<TaskId>
+tasksNamed(const TaskList& tl, const std::string& prefix)
+{
+    std::vector<TaskId> ids;
+    for (TaskId id = 0; id < static_cast<TaskId>(tl.size()); ++id)
+        if (tl.name(id).rfind(prefix, 0) == 0)
+            ids.push_back(id);
+    return ids;
+}
+
+TEST(InteriorPath, StageGraphOrdersUpdatesAfterDirectRows)
+{
+    // The direct rows' ordering contract (boundary_plan.hpp): a direct
+    // bounds row reads its sender's live interior, so no
+    // WeightedSumData may start before every such row has run; a
+    // direct flux row overwrites coarse faces, so no FluxDivergence
+    // may start before every such row has run. Checked on both ranks
+    // of a 2-rank team that reached three levels.
+    using namespace shard_test;
+    auto package = makePackage("advection");
+    VariableRegistry registry = package->buildRegistry();
+    RankTeam team(shardMeshConfig(2, 2, 3), registry, *package,
+                  shardDriverConfig(), [](int) {
+                      return std::make_unique<SphericalWaveTagger>(
+                          shardWaveParams());
+                  });
+    team.run();
+    ASSERT_EQ(team.mesh(0).maxPresentLevel(), 2);
+
+    for (int rank = 0; rank < 2; ++rank) {
+        const TaskList tl = team.driver(rank).buildStageGraph(1, true);
+        // Dependencies always point to earlier ids, so one forward
+        // pass computes every task's transitive ancestors.
+        const std::size_t n = tl.size();
+        std::vector<std::vector<bool>> ancestor(n, std::vector<bool>(n));
+        for (TaskId id = 0; id < static_cast<TaskId>(n); ++id)
+            for (TaskId dep : tl.deps(id)) {
+                ASSERT_LT(dep, id);
+                ancestor[id][dep] = true;
+                for (std::size_t a = 0; a < n; ++a)
+                    if (ancestor[dep][a])
+                        ancestor[id][a] = true;
+            }
+
+        const std::string where = "rank " + std::to_string(rank);
+        const auto bounds_local =
+            tasksNamed(tl, "SetBounds:plan:bounds:local:part");
+        const auto flux_local =
+            tasksNamed(tl, "FluxCorrApply:plan:flux:local:part");
+        const auto updates = tasksNamed(tl, "WeightedSumData:");
+        const auto divergences = tasksNamed(tl, "FluxDivergence:");
+        ASSERT_EQ(bounds_local.size(),
+                  static_cast<std::size_t>(GhostExchange::kFusedPartitions))
+            << where;
+        ASSERT_EQ(flux_local.size(),
+                  static_cast<std::size_t>(GhostExchange::kFusedPartitions))
+            << where;
+        ASSERT_FALSE(updates.empty()) << where;
+        ASSERT_EQ(divergences.size(), updates.size()) << where;
+        for (TaskId update : updates)
+            for (TaskId row : bounds_local)
+                EXPECT_TRUE(ancestor[update][row])
+                    << where << ": " << tl.name(update)
+                    << " does not wait for " << tl.name(row);
+        for (TaskId div : divergences)
+            for (TaskId row : flux_local)
+                EXPECT_TRUE(ancestor[div][row])
+                    << where << ": " << tl.name(div)
+                    << " does not wait for " << tl.name(row);
+
+        // The bounds direct rows overlap the cross-rank send: they wait
+        // for the cycle start only.
+        const auto start = tasksNamed(tl, "StartReceiveBoundBufs");
+        ASSERT_EQ(start.size(), 1u) << where;
+        for (TaskId row : bounds_local)
+            EXPECT_EQ(tl.deps(row), std::vector<TaskId>{start[0]})
+                << where << ": " << tl.name(row);
+        // The set's end step recycles payloads into the next send, so
+        // it must follow this stage's send.
+        const auto send_begin =
+            tasksNamed(tl, "SendBoundBufs:plan:bounds:begin");
+        const auto set_end = tasksNamed(tl, "SetBounds:plan:bounds:end");
+        ASSERT_EQ(send_begin.size(), 1u) << where;
+        ASSERT_EQ(set_end.size(), 1u) << where;
+        EXPECT_TRUE(ancestor[set_end[0]][send_begin[0]]) << where;
     }
 }
 

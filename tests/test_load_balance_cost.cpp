@@ -81,7 +81,10 @@ TEST(BlockCostModel, TaskNameGidOnlyForPerBlockTasks)
          {"SendBoundBufs:plan:bounds:begin",
           "SendBoundBufs:plan:bounds:part3",
           "SetBounds:plan:bounds:end",
+          "SetBounds:plan:bounds:local:part0",
+          "SetBounds:plan:bounds:local:part5",
           "FluxCorrApply:plan:flux:part7",
+          "FluxCorrApply:plan:flux:local:part2",
           "ReceiveBoundBufs:plan:bounds:r0>r1",
           "FluxCorrRecv:plan:flux:r2>r3", "StartReceiveBoundBufs",
           "CalculateFluxes:", "CalculateFluxes:1a"})

@@ -218,6 +218,33 @@ TEST(MeshBlock, OptimizedLayoutDropsPerBlockRecon)
               512u * 8u * 6u * 16u * 16u * 16u * 11u);
 }
 
+TEST(MeshBlock, SharedTrackerReleasesReconPoolWithMesh)
+{
+    // The shared-scratch model term belongs to its mesh: a tracker that
+    // outlives the mesh (or serves several) must not keep counting it.
+    MeshFixtureBits bits;
+    ExecContext ctx(ExecMode::Count, &bits.profiler, &bits.tracker);
+    MeshConfig config;
+    config.nx1 = config.nx2 = config.nx3 = 16;
+    config.blockNx1 = config.blockNx2 = config.blockNx3 = 8;
+    config.amrLevels = 1;
+    config.optimizeAuxMemory = true;
+    std::size_t pool_bytes = 0;
+    {
+        Mesh first(config, bits.registry, ctx);
+        pool_bytes = bits.tracker.labelBytes("mesh/recon_pool");
+        ASSERT_GT(pool_bytes, 0u);
+        {
+            Mesh second(config, bits.registry, ctx);
+            EXPECT_EQ(bits.tracker.labelBytes("mesh/recon_pool"),
+                      2 * pool_bytes);
+        }
+        EXPECT_EQ(bits.tracker.labelBytes("mesh/recon_pool"), pool_bytes);
+    }
+    EXPECT_EQ(bits.tracker.labelBytes("mesh/recon_pool"), 0u);
+    EXPECT_EQ(bits.tracker.currentBytes(), 0u);
+}
+
 // --- Mesh geometry & neighbors ---
 
 TEST(Mesh, GeometryPartitionsDomain)

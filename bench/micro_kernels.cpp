@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "comm/boundary_buffers.hpp"
+#include "comm/boundary_plan.hpp"
 #include "comm/ghost_exchange.hpp"
 #include "exec/kernel_profiler.hpp"
 #include "exec/memory_tracker.hpp"
@@ -200,7 +201,7 @@ BM_GhostExchange(benchmark::State& state)
         mesh.applyTreeUpdate(mesh.updateTree(flags), 0);
     }
     RankWorld world(1);
-    BoundaryBufferCache cache(mesh, false);
+    BoundaryBufferCache cache(mesh);
     GhostExchange exchange(mesh, world, cache);
     BurgersPackage package{BurgersConfig{}};
     package.initialize(mesh, InitialCondition::Sine);
@@ -262,7 +263,7 @@ struct BoundaryRowFixture
     BoundaryRowFixture(int level_diff, int ncomp)
         : registry(ncomp == 1 ? makeAdvectionRegistry()
                               : makeBurgersRegistry(ncomp - 3)),
-          mesh(config(), registry, ctx), cache(refined(mesh), false),
+          mesh(config(), registry, ctx), cache(refined(mesh)),
           exchange(mesh, world, cache)
     {
         for (const auto& block : mesh.blocks()) {
@@ -353,7 +354,7 @@ BM_BufferCacheRebuild(benchmark::State& state)
     config.blockNx1 = config.blockNx2 = config.blockNx3 = 8;
     config.amrLevels = 1;
     Mesh mesh(config, registry, ctx);
-    BoundaryBufferCache cache(mesh, true);
+    BoundaryBufferCache cache(mesh);
     for (auto _ : state)
         cache.rebuild();
     state.SetItemsProcessed(state.iterations() * cache.bounds().size());
@@ -375,6 +376,58 @@ BM_TreeNeighborWalk(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * leaves.size());
 }
 BENCHMARK(BM_TreeNeighborWalk);
+
+/**
+ * The structural rebuild of one remesh on an amr-deep-shaped mesh:
+ * 32^3 base of 8^3 blocks, 3 levels, refined twice inside a central
+ * ball to 512 blocks (14k neighbor links), split over 2 ranks in
+ * Z-order, counting mode.
+ * One iteration rebuilds the neighbor lists, the buffer cache and the
+ * boundary plan, as a remesh or a load-balance move does.
+ */
+void
+BM_RemeshRebuild(benchmark::State& state)
+{
+    KernelProfiler profiler;
+    MemoryTracker tracker;
+    auto registry = makeAdvectionRegistry();
+    ExecContext ctx(ExecMode::Count, &profiler, &tracker);
+    MeshConfig config;
+    config.nx1 = config.nx2 = config.nx3 = 32;
+    config.blockNx1 = config.blockNx2 = config.blockNx3 = 8;
+    config.amrLevels = 3;
+    config.numRanks = 2;
+    Mesh mesh(config, registry, ctx);
+    for (int level = 0; level < 2; ++level) {
+        RefinementFlagMap flags;
+        for (const auto& block : mesh.blocks()) {
+            const BlockGeometry g = mesh.geometryFor(block->loc());
+            const double x = 0.5 * (g.x1min + g.x1max) - 0.5;
+            const double y = 0.5 * (g.x2min + g.x2max) - 0.5;
+            const double z = 0.5 * (g.x3min + g.x3max) - 0.5;
+            const double r = std::sqrt(x * x + y * y + z * z);
+            if (r < 0.25)
+                flags[block->loc()] = RefinementFlag::Refine;
+        }
+        mesh.applyTreeUpdate(mesh.updateTree(flags), 0);
+    }
+    const std::size_t nblocks = mesh.numBlocks();
+    for (std::size_t gid = 0; gid < nblocks; ++gid)
+        mesh.block(static_cast<int>(gid))
+            .setRank(static_cast<int>(2 * gid / nblocks));
+    RankWorld world(2);
+    BoundaryBufferCache cache(mesh);
+    BoundaryPlan plan(mesh, cache, world);
+    for (auto _ : state) {
+        mesh.rebuildNeighbors();
+        cache.rebuild();
+        plan.ensureBuilt();
+    }
+    state.counters["blocks"] = static_cast<double>(nblocks);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(cache.bounds().size()));
+}
+BENCHMARK(BM_RemeshRebuild)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <tuple>
 
 #include "exec/par_for.hpp"
@@ -48,20 +49,11 @@ rangeOfDim(Region3& region, int d)
     return d == 0 ? &region.i : d == 1 ? &region.j : &region.k;
 }
 
-} // namespace
-
-BoundaryBufferCache::BoundaryBufferCache(Mesh& mesh, bool randomize_keys,
-                                         std::uint64_t seed)
-    : mesh_(&mesh), randomize_keys_(randomize_keys), rng_(seed)
-{
-    rebuild();
-}
-
+/** The channel receiving `nb`'s ghosts into `receiver`. */
 BoundsChannel
-BoundaryBufferCache::makeBoundsChannel(MeshBlock& receiver,
-                                       const NeighborBlock& nb) const
+makeBoundsChannel(const DimShape& s, MeshBlock& receiver,
+                  const NeighborBlock& nb)
 {
-    const DimShape s(mesh_->config().blockShape());
     BoundsChannel ch;
     ch.sender = nb.block;
     ch.receiver = &receiver;
@@ -157,11 +149,11 @@ BoundaryBufferCache::makeBoundsChannel(MeshBlock& receiver,
     return ch;
 }
 
+/** The flux-correction channel from fine face neighbor `nb`. */
 FluxChannel
-BoundaryBufferCache::makeFluxChannel(MeshBlock& receiver,
-                                     const NeighborBlock& nb) const
+makeFluxChannel(const DimShape& s, MeshBlock& receiver,
+                const NeighborBlock& nb)
 {
-    const DimShape s(mesh_->config().blockShape());
     FluxChannel ch;
     ch.sender = nb.block;
     ch.receiver = &receiver;
@@ -195,6 +187,13 @@ BoundaryBufferCache::makeFluxChannel(MeshBlock& receiver,
     return ch;
 }
 
+} // namespace
+
+BoundaryBufferCache::BoundaryBufferCache(Mesh& mesh) : mesh_(&mesh)
+{
+    rebuild();
+}
+
 void
 BoundaryBufferCache::rebuild()
 {
@@ -202,43 +201,54 @@ BoundaryBufferCache::rebuild()
     bounds_.clear();
     flux_.clear();
 
-    for (const auto& block : mesh_->blocks()) {
-        for (const auto& nb : mesh_->neighbors(block->gid())) {
-            bounds_.push_back(makeBoundsChannel(*block, nb));
+    // InitializeBufferCache's key sort, on integers: receivers sort by
+    // location key, and a block's position in that order ranks it as a
+    // sender too, so each receiver's few entries sort by (sender
+    // position, direction). Channels are appended in canonical order
+    // and never moved afterwards.
+    const DimShape shape(mesh_->config().blockShape());
+    const auto& blocks = mesh_->blocks();
+    std::vector<int> receivers(blocks.size());
+    std::iota(receivers.begin(), receivers.end(), 0);
+    std::sort(receivers.begin(), receivers.end(), [&](int a, int b) {
+        const LogicalLocation& la = blocks[a]->loc();
+        const LogicalLocation& lb = blocks[b]->loc();
+        return std::tie(la.level, la.lx3, la.lx2, la.lx1) <
+               std::tie(lb.level, lb.lx3, lb.lx2, lb.lx1);
+    });
+    std::vector<std::uint64_t> position(blocks.size());
+    for (std::size_t p = 0; p < receivers.size(); ++p)
+        position[static_cast<std::size_t>(receivers[p])] = p;
+    std::vector<std::pair<std::uint64_t, std::size_t>> order;
+    for (const int gid : receivers) {
+        const auto& nbs = mesh_->neighbors(gid);
+        order.clear();
+        for (std::size_t n = 0; n < nbs.size(); ++n) {
+            const NeighborBlock& nb = nbs[n];
+            // (o1, o2, o3) in lexicographic order, 0..26.
+            const int dir = (nb.ox1 + 1) * 9 + (nb.ox2 + 1) * 3 + nb.ox3 + 1;
+            order.emplace_back(
+                position[static_cast<std::size_t>(nb.block->gid())] * 27 +
+                    static_cast<std::uint64_t>(dir),
+                n);
+        }
+        std::sort(order.begin(), order.end());
+        MeshBlock& receiver = *blocks[gid];
+        for (const auto& [key, n] : order) {
+            const NeighborBlock& nb = nbs[n];
+            bounds_.push_back(makeBoundsChannel(shape, receiver, nb));
             const bool is_face =
                 std::abs(nb.ox1) + std::abs(nb.ox2) + std::abs(nb.ox3) ==
                 1;
             if (nb.levelDiff == 1 && is_face)
-                flux_.push_back(makeFluxChannel(*block, nb));
+                flux_.push_back(makeFluxChannel(shape, receiver, nb));
         }
     }
 
-    // InitializeBufferCache: sort boundary keys deterministically,
-    // then optionally randomize their order (§VIII-A). Both passes are
-    // recorded as serial work for the host-cost model.
-    auto key_of = [](const ChannelId& id) {
-        return std::make_tuple(id.receiver.level, id.receiver.lx3,
-                               id.receiver.lx2, id.receiver.lx1,
-                               id.sender.level, id.sender.lx3,
-                               id.sender.lx2, id.sender.lx1, id.o1, id.o2,
-                               id.o3);
-    };
-    std::sort(bounds_.begin(), bounds_.end(),
-              [&](const BoundsChannel& a, const BoundsChannel& b) {
-                  return key_of(a.id) < key_of(b.id);
-              });
-    std::sort(flux_.begin(), flux_.end(),
-              [&](const FluxChannel& a, const FluxChannel& b) {
-                  return key_of(a.id) < key_of(b.id);
-              });
-    if (randomize_keys_) {
-        for (std::size_t i = bounds_.size(); i > 1; --i)
-            std::swap(bounds_[i - 1], bounds_[rng_.uniformInt(i)]);
-    }
-
-    // Serial cost drivers: one key per channel for the sort/shuffle,
-    // one metadata record per channel for the ViewOfViews fill +
-    // host-to-device copy (§VIII-A "Metadata Filling").
+    // Serial cost drivers, model terms of Parthenon's cache: one key
+    // per channel for its sort and shuffle, one metadata record per
+    // channel for the ViewOfViews fill + host-to-device copy (§VIII-A
+    // "Metadata Filling").
     recordSerial(mesh_->ctx(), "buffer_cache_keys",
                  static_cast<double>(bounds_.size()));
     recordSerial(mesh_->ctx(), "buffer_cache_metadata",

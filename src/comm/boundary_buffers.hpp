@@ -6,21 +6,22 @@
  * exchanges, plus flux-correction channels at fine-coarse faces.
  *
  * Channels are enumerated from the receiver's perspective (one channel
- * per neighbor-list entry), mirroring Parthenon's tag map. The cache is
- * rebuilt after every mesh restructure; rebuilding sorts and then
- * (optionally) randomizes the boundary keys, reproducing the serial
- * cost the paper highlights in InitializeBufferCache (§VIII-A).
+ * per neighbor-list entry), mirroring Parthenon's tag map, and stored
+ * in canonical key order (see canonicalLess). The cache is rebuilt
+ * after every mesh restructure and load-balance move; the serial cost
+ * the paper highlights in InitializeBufferCache (§VIII-A: key sort,
+ * metadata fill) is recorded as model terms.
  */
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "comm/rank_world.hpp"
 #include "mesh/mesh.hpp"
-#include "util/random.hpp"
 
 namespace vibe {
 
@@ -94,6 +95,23 @@ struct FluxChannel
 };
 
 /**
+ * The canonical channel order: receiver (level, lx3, lx2, lx1), then
+ * sender (level, lx3, lx2, lx1), then direction (o1, o2, o3). The
+ * cache stores its channels in this order, so independently built
+ * sender and receiver replicas list them identically.
+ */
+inline bool
+canonicalLess(const ChannelId& a, const ChannelId& b)
+{
+    const LogicalLocation &ar = a.receiver, &as = a.sender;
+    const LogicalLocation &br = b.receiver, &bs = b.sender;
+    return std::tie(ar.level, ar.lx3, ar.lx2, ar.lx1, as.level, as.lx3,
+                    as.lx2, as.lx1, a.o1, a.o2, a.o3) <
+           std::tie(br.level, br.lx3, br.lx2, br.lx1, bs.level, bs.lx3,
+                    bs.lx2, bs.lx1, b.o1, b.o2, b.o3);
+}
+
+/**
  * The cache of all channels for the current mesh structure. The
  * BoundaryPlan flattens it into the exchange's buffer table; the
  * driver rebuilds it after every restructure.
@@ -101,15 +119,13 @@ struct FluxChannel
 class BoundaryBufferCache
 {
   public:
-    /**
-     * @param randomize_keys Shuffle channel order after sorting, as
-     *        Parthenon's InitializeBufferCache does (§VIII-A); the
-     *        ablation bench toggles this.
-     */
-    BoundaryBufferCache(Mesh& mesh, bool randomize_keys,
-                        std::uint64_t seed = 0x5eed);
+    explicit BoundaryBufferCache(Mesh& mesh);
 
-    /** Rebuild all channels from the mesh (RebuildBufferCache). */
+    /**
+     * Rebuild all channels from the mesh (RebuildBufferCache), in
+     * canonical order: bounds() and flux() are strictly increasing
+     * under canonicalLess.
+     */
     void rebuild();
 
     const std::vector<BoundsChannel>& bounds() const { return bounds_; }
@@ -147,14 +163,7 @@ class BoundaryBufferCache
     }
 
   private:
-    BoundsChannel makeBoundsChannel(MeshBlock& receiver,
-                                    const NeighborBlock& nb) const;
-    FluxChannel makeFluxChannel(MeshBlock& receiver,
-                                const NeighborBlock& nb) const;
-
     Mesh* mesh_;
-    bool randomize_keys_;
-    Rng rng_;
     std::vector<BoundsChannel> bounds_;
     std::vector<FluxChannel> flux_;
     std::uint64_t rebuild_count_ = 0;

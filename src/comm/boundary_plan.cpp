@@ -1,7 +1,6 @@
 #include "comm/boundary_plan.hpp"
 
 #include <algorithm>
-#include <tuple>
 
 #include "exec/par_for.hpp"
 #include "util/logging.hpp"
@@ -10,20 +9,17 @@ namespace vibe {
 
 namespace {
 
-/**
- * Canonical channel ordering: the cache's pre-shuffle sort key. The
- * cache may shuffle its storage order (<comm> randomize_buffer_keys),
- * so directory order must come from the channel identities themselves
- * — independently built sender and receiver replicas then agree on
- * every entry's offset regardless of their caches' storage order.
- */
-auto
-canonicalKey(const ChannelId& id)
+/** Wire cells (bounds) or faces (flux) one channel carries. */
+std::int64_t
+wireUnits(const BoundsChannel& ch)
 {
-    return std::make_tuple(id.receiver.level, id.receiver.lx3,
-                           id.receiver.lx2, id.receiver.lx1,
-                           id.sender.level, id.sender.lx3, id.sender.lx2,
-                           id.sender.lx1, id.o1, id.o2, id.o3);
+    return ch.wireCells();
+}
+
+std::int64_t
+wireUnits(const FluxChannel& ch)
+{
+    return ch.wireFaces();
 }
 
 } // namespace
@@ -66,7 +62,8 @@ splitRowsByCost(const std::vector<double>& costs)
 
 BoundaryPlan::BoundaryPlan(Mesh& mesh, const BoundaryBufferCache& cache,
                            const RankWorld& world)
-    : mesh_(&mesh), cache_(&cache), world_(&world)
+    : mesh_(&mesh), cache_(&cache), world_(&world),
+      ncomp_(mesh.registry().ncompConserved())
 {
 }
 
@@ -168,7 +165,7 @@ BoundaryPlan::direct(PlanPhase phase, int rank) const
 EntryModel
 BoundaryPlan::entryModel(PlanPhase phase, int channel) const
 {
-    const double ncomp = mesh_->registry().ncompConserved();
+    const double ncomp = ncomp_;
     EntryModel model;
     if (phase == PlanPhase::Bounds) {
         const BoundsChannel& ch = cache_->bounds()[channel];
@@ -191,90 +188,74 @@ void
 BoundaryPlan::rebuild()
 {
     const int nranks = world_->nranks();
-    const int ncomp = mesh_->registry().ncompConserved();
     const std::size_t npairs =
         static_cast<std::size_t>(nranks) * nranks;
 
-    for (int phase = 0; phase < kNumPlanPhases; ++phase) {
-        auto& msgs = messages_[phase];
-        msgs.clear();
-
-        // Group channels by directed rank pair. Rank pairs that share
-        // no boundary collect no entries and are elided entirely: no
-        // PlanMessage, nothing on the wire, nothing to poll.
+    auto build = [&](PlanPhase phase, const auto& channels) {
+        // One pass in storage order, grouping channels by directed rank
+        // pair. The cache stores its channels in canonical order, so
+        // every group comes out sorted by canonical key: independently
+        // built sender and receiver replicas agree on every directory
+        // offset without a sort. The pass checks that premise.
         std::vector<std::vector<PlanEntry>> pairs(npairs);
-        const bool bounds = phase == static_cast<int>(PlanPhase::Bounds);
-        const std::size_t nchannels =
-            bounds ? cache_->bounds().size() : cache_->flux().size();
-        auto endpoints = [&](int c) {
-            if (bounds) {
-                const BoundsChannel& ch = cache_->bounds()[c];
-                return std::make_pair(ch.sender->rank(),
-                                      ch.receiver->rank());
-            }
-            const FluxChannel& ch = cache_->flux()[c];
-            return std::make_pair(ch.sender->rank(),
-                                  ch.receiver->rank());
-        };
-        auto wire_units = [&](int c) {
-            return bounds ? cache_->bounds()[c].wireCells()
-                          : cache_->flux()[c].wireFaces();
-        };
-        auto id_of = [&](int c) -> const ChannelId& {
-            return bounds ? cache_->bounds()[c].id
-                          : cache_->flux()[c].id;
-        };
-        for (std::size_t c = 0; c < nchannels; ++c) {
-            const auto [src, dst] = endpoints(static_cast<int>(c));
+        std::vector<std::int64_t> units(npairs, 0);
+        for (std::size_t c = 0; c < channels.size(); ++c) {
+            const auto& ch = channels[c];
+            if (c > 0 && !canonicalLess(channels[c - 1].id, ch.id))
+                panic("BoundaryPlan: buffer cache is not in canonical "
+                      "order at ", planPhaseName(phase), " channel ", c);
+            const int src = ch.sender->rank();
+            const int dst = ch.receiver->rank();
             require(src >= 0 && src < nranks && dst >= 0 &&
                         dst < nranks,
                     "channel endpoints outside the rank world: ", src,
                     " -> ", dst, " with ", nranks, " ranks");
+            const std::size_t pair =
+                static_cast<std::size_t>(src) * nranks + dst;
+            auto& entries = pairs[pair];
             PlanEntry entry;
             entry.channel = static_cast<int>(c);
-            entry.count = static_cast<std::size_t>(
-                              wire_units(static_cast<int>(c))) *
-                          ncomp;
-            pairs[static_cast<std::size_t>(src) * nranks + dst]
-                .push_back(entry);
+            entry.offset = entries.empty() ? 0
+                                           : entries.back().offset +
+                                                 entries.back().count;
+            entry.count = static_cast<std::size_t>(wireUnits(ch)) *
+                          static_cast<std::size_t>(ncomp_);
+            entries.push_back(entry);
+            units[pair] += wireUnits(ch);
         }
 
-        const ChannelKind kind = bounds ? ChannelKind::CoalescedBounds
-                                        : ChannelKind::CoalescedFlux;
-        auto& direct = direct_[phase];
+        // Rank pairs that share no boundary collect no entries and are
+        // elided entirely: no PlanMessage, nothing on the wire, nothing
+        // to poll.
+        const int p = static_cast<int>(phase);
+        const ChannelKind kind = phase == PlanPhase::Bounds
+                                     ? ChannelKind::CoalescedBounds
+                                     : ChannelKind::CoalescedFlux;
+        auto& msgs = messages_[p];
+        auto& direct = direct_[p];
+        msgs.clear();
         direct.assign(static_cast<std::size_t>(nranks), PlanDirect{});
         for (int src = 0; src < nranks; ++src) {
             for (int dst = 0; dst < nranks; ++dst) {
-                auto& entries =
-                    pairs[static_cast<std::size_t>(src) * nranks + dst];
+                const std::size_t pair =
+                    static_cast<std::size_t>(src) * nranks + dst;
+                auto& entries = pairs[pair];
                 if (entries.empty())
                     continue;
-                std::sort(entries.begin(), entries.end(),
-                          [&](const PlanEntry& a, const PlanEntry& b) {
-                              return canonicalKey(id_of(a.channel)) <
-                                     canonicalKey(id_of(b.channel));
-                          });
-                std::size_t doubles = 0;
-                std::int64_t units = 0;
-                for (PlanEntry& entry : entries) {
-                    entry.offset = doubles;
-                    doubles += entry.count;
-                    units += wire_units(entry.channel);
-                }
                 // The (modeled) message carries exactly the bytes of
                 // its entries' channels.
+                const std::size_t doubles =
+                    entries.back().offset + entries.back().count;
                 const double bytes =
                     static_cast<double>(doubles) * sizeof(double);
                 if (src == dst) {
                     // Same-rank entries become direct rows, balanced
                     // by the cells each row writes.
-                    PlanDirect& d =
-                        direct[static_cast<std::size_t>(src)];
+                    PlanDirect& d = direct[static_cast<std::size_t>(src)];
                     std::vector<double> costs;
                     costs.reserve(entries.size());
                     for (const PlanEntry& entry : entries) {
-                        const EntryModel m = entryModel(
-                            static_cast<PlanPhase>(phase), entry.channel);
+                        const EntryModel m = entryModel(phase, entry.channel);
                         costs.push_back(m.unpackItems);
                         d.model.packItems += m.packItems;
                         d.model.packInnermost += m.packInnermost;
@@ -284,7 +265,7 @@ BoundaryPlan::rebuild()
                     d.partStart = splitRowsByCost(costs);
                     d.doubles = doubles;
                     d.bytes = bytes;
-                    d.wireUnits = units;
+                    d.wireUnits = units[pair];
                     d.entries = std::move(entries);
                     continue;
                 }
@@ -294,14 +275,14 @@ BoundaryPlan::rebuild()
                 msg.id = coalescedChannelId(src, dst, kind);
                 msg.doubles = doubles;
                 msg.bytes = bytes;
-                msg.wireUnits = units;
+                msg.wireUnits = units[pair];
                 msg.entries = std::move(entries);
                 msgs.push_back(std::move(msg));
             }
         }
 
-        auto& send_ids = send_ids_[phase];
-        auto& recv_ids = recv_ids_[phase];
+        auto& send_ids = send_ids_[p];
+        auto& recv_ids = recv_ids_[p];
         send_ids.assign(static_cast<std::size_t>(nranks), {});
         recv_ids.assign(static_cast<std::size_t>(nranks), {});
         for (std::size_t m = 0; m < msgs.size(); ++m) {
@@ -310,7 +291,9 @@ BoundaryPlan::rebuild()
             recv_ids[static_cast<std::size_t>(msgs[m].dst)].push_back(
                 static_cast<int>(m));
         }
-    }
+    };
+    build(PlanPhase::Bounds, cache_->bounds());
+    build(PlanPhase::Flux, cache_->flux());
 
     generation_ = cache_->rebuildCount();
     built_ = true;

@@ -30,8 +30,8 @@
  * doubles; entry e of messageFor(phase, src, dst) occupies
  * [offset, offset + count) and carries exactly the doubles
  * GhostExchange's per-channel pack writes for entry e's channel, in
- * that pack's order. Entries are sorted by the cache's canonical
- * channel key (not the cache's possibly shuffled storage order), so
+ * that pack's order. Entries follow the cache's storage order, which
+ * is canonical (canonicalLess; the rebuild checks it), so
  * independently built sender and receiver replicas agree on the
  * directory byte for byte; direct tables use the same order. Rank
  * pairs with no adjacent blocks get no PlanMessage at all — the empty
@@ -233,6 +233,8 @@ class BoundaryPlan
     Mesh* mesh_;
     const BoundaryBufferCache* cache_;
     const RankWorld* world_;
+    /** Conserved components (payload doubles per wire cell). */
+    int ncomp_;
 
     /** Guards the rebuild state; see file comment for the discipline. */
     mutable Mutex mutex_;

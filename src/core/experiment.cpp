@@ -259,7 +259,6 @@ Experiment::runAttempt(FaultInjector* injector,
     DriverConfig driver_config;
     driver_config.ncycles = spec.ncycles;
     driver_config.fixedDt = spec.fixedDt();
-    driver_config.randomizeBufferKeys = spec.randomizeBufferKeys;
     driver_config.checkpointEvery = spec.checkpointEvery;
     driver_config.checkpointPath = spec.checkpointPath;
     driver_config.checkpointAsync = spec.checkpointAsync;

@@ -48,7 +48,6 @@ struct ExperimentSpec
      */
     bool numeric = false;
     bool optimizeAuxMemory = false; ///< §VIII-B layout ablation.
-    bool randomizeBufferKeys = true; ///< §VIII-A ablation.
     /**
      * Host threads for kernel execution (the `exec/num_threads` knob):
      * 1 = the serial fast path, >1 = a persistent ThreadPoolSpace.

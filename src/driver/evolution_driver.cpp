@@ -36,8 +36,6 @@ DriverConfig::fromParams(const ParameterInput& pin)
         lbCostModeName(envLbCostMode(LbCostMode::Uniform))));
     config.lbImbalanceTrigger =
         pin.getReal("amr", "lb_imbalance_trigger", 0.0);
-    config.randomizeBufferKeys =
-        pin.getBool("comm", "randomize_buffer_keys", true);
     config.checkpointEvery =
         pin.getInt("driver", "checkpoint_every", 0);
     config.checkpointPath =
@@ -53,8 +51,7 @@ EvolutionDriver::EvolutionDriver(Mesh& mesh,
                                  RefinementTagger& tagger,
                                  const DriverConfig& config)
     : mesh_(&mesh), package_(&package), world_(&world), tagger_(&tagger),
-      config_(config), cache_(mesh, config.randomizeBufferKeys),
-      exchange_(mesh, world, cache_)
+      config_(config), cache_(mesh), exchange_(mesh, world, cache_)
 {
     dt_ = config_.fixedDt;
     // The buffer cache is rebuilt on exactly the events that stale the
@@ -952,9 +949,9 @@ EvolutionDriver::applyRestructureData(
                     if (world_->failed())
                         panic("remote restriction aborted: ",
                               world_->failureReason());
-                    require(std::chrono::steady_clock::now() < deadline,
-                            "remote restriction timed out waiting for ",
-                            child->loc().str());
+                    if (std::chrono::steady_clock::now() >= deadline)
+                        panic("remote restriction timed out waiting for ",
+                              child->loc().str());
                     std::this_thread::yield();
                 }
                 applyRestrictedOctant(ctx, *derefined.parent,

@@ -65,8 +65,6 @@ struct DriverConfig
      * lb_imbalance_trigger`, 0 = always adopt).
      */
     double lbImbalanceTrigger = 0.0;
-    /** Shuffle boundary keys in the buffer cache (§VIII-A). */
-    bool randomizeBufferKeys = true;
     /**
      * Capture a checkpoint every N cycles (`<driver> checkpoint_every`,
      * 0 = never). The capture itself is collective — every rank frames

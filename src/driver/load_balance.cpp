@@ -216,9 +216,9 @@ loadBalance(Mesh& mesh, RankWorld& world,
                 if (world.failed())
                     panic("block migration aborted: ",
                           world.failureReason());
-                require(std::chrono::steady_clock::now() < deadline,
-                        "block migration timed out waiting for ",
-                        block.loc().str());
+                if (std::chrono::steady_clock::now() >= deadline)
+                    panic("block migration timed out waiting for ",
+                          block.loc().str());
                 std::this_thread::yield();
             }
             mesh.realizeBlock(block);

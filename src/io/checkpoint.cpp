@@ -171,8 +171,9 @@ captureCheckpoint(const Mesh& mesh, RankWorld& world,
     // no rendezvous.
     std::vector<double> local;
     for (const MeshBlock* block : mesh.ownedBlocks()) {
-        require(block->hasData(), "checkpoint capture: owned block ",
-                block->loc().str(), " has no materialized storage");
+        if (!block->hasData())
+            panic("checkpoint capture: owned block ", block->loc().str(),
+                  " has no materialized storage");
         const std::vector<double> state = block->serializeState();
         local.push_back(static_cast<double>(block->gid()));
         local.push_back(static_cast<double>(state.size()));

@@ -1,6 +1,7 @@
 #include "mesh/block_tree.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "util/logging.hpp"
 
@@ -50,20 +51,22 @@ BlockTree::exists(const LogicalLocation& loc) const
 std::vector<LogicalLocation>
 BlockTree::leavesZOrder() const
 {
-    std::vector<LogicalLocation> leaves;
-    leaves.reserve(leaf_count_);
+    // Sort by (Morton key, level), each key computed once per leaf.
+    const int ref = std::max(referenceLevel(), maxPresentLevel());
+    std::vector<std::tuple<std::uint64_t, int, LogicalLocation>> keyed;
+    keyed.reserve(leaf_count_);
     for (const auto& [loc, node] : nodes_)
         if (node == Node::Leaf)
-            leaves.push_back(loc);
-    const int ref = std::max(referenceLevel(), maxPresentLevel());
-    std::sort(leaves.begin(), leaves.end(),
-              [ref](const LogicalLocation& a, const LogicalLocation& b) {
-                  const auto ka = a.mortonKey(ref);
-                  const auto kb = b.mortonKey(ref);
-                  if (ka != kb)
-                      return ka < kb;
-                  return a.level < b.level;
+            keyed.emplace_back(loc.mortonKey(ref), loc.level, loc);
+    std::sort(keyed.begin(), keyed.end(),
+              [](const auto& a, const auto& b) {
+                  return std::tie(std::get<0>(a), std::get<1>(a)) <
+                         std::tie(std::get<0>(b), std::get<1>(b));
               });
+    std::vector<LogicalLocation> leaves;
+    leaves.reserve(keyed.size());
+    for (const auto& entry : keyed)
+        leaves.push_back(std::get<2>(entry));
     return leaves;
 }
 
@@ -123,33 +126,32 @@ BlockTree::children(const LogicalLocation& loc) const
     return kids;
 }
 
-std::vector<LogicalLocation>
-BlockTree::touchingChildren(const LogicalLocation& neighbor_region, int ox1,
-                            int ox2, int ox3) const
+template <typename Fn>
+void
+BlockTree::forEachTouchingChild(const LogicalLocation& neighbor_region,
+                                int ox1, int ox2, int ox3, Fn&& fn) const
 {
     // The querying block sits in direction (-ox1,-ox2,-ox3) from the
     // neighbor region; a child touches the shared boundary if, in each
-    // dimension we moved through, it lies on the facing side.
-    std::vector<LogicalLocation> result;
+    // dimension we moved through, it lies on the facing side: the near
+    // half (octant bit 0) when the neighbor is to our + side, the far
+    // half (bit 1) when it is to our - side.
     const int ox[3] = {ox1, ox2, ox3};
-    for (const auto& kid : children(neighbor_region)) {
-        const std::int64_t lo[3] = {kid.lx1 & 1, kid.lx2 & 1, kid.lx3 & 1};
-        bool touches = true;
-        for (int d = 0; d < 3; ++d) {
-            if (ox[d] == 1 && lo[d] != 0)
-                touches = false; // neighbor is to our +side: near children
-            if (ox[d] == -1 && lo[d] != 1)
-                touches = false; // neighbor is to our -side: far children
-        }
-        if (touches)
-            result.push_back(kid);
+    int lo[3], hi[3];
+    for (int d = 0; d < 3; ++d) {
+        const int top = d < config_.ndim ? 1 : 0;
+        lo[d] = ox[d] == -1 ? top : 0;
+        hi[d] = ox[d] == 1 ? 0 : top;
     }
-    return result;
+    for (int c3 = lo[2]; c3 <= hi[2]; ++c3)
+        for (int c2 = lo[1]; c2 <= hi[1]; ++c2)
+            for (int c1 = lo[0]; c1 <= hi[0]; ++c1)
+                fn(neighbor_region.child(c1, c2, c3));
 }
 
+template <typename Fn>
 void
-BlockTree::forEachDirection(
-    const std::function<void(int, int, int)>& fn) const
+BlockTree::forEachDirection(Fn&& fn) const
 {
     const int r2 = config_.ndim >= 2 ? 1 : 0;
     const int r3 = config_.ndim >= 3 ? 1 : 0;
@@ -163,8 +165,9 @@ BlockTree::forEachDirection(
 std::vector<BlockTree::NeighborInfo>
 BlockTree::neighbors(const LogicalLocation& loc) const
 {
-    require(isLeaf(loc), "neighbors() requires a leaf, got ", loc.str());
-    std::vector<NeighborInfo> result;
+    if (!isLeaf(loc))
+        panic("neighbors() requires a leaf, got ", loc.str());
+    std::vector<NeighborInfo> out;
     forEachDirection([&](int o1, int o2, int o3) {
         auto target = displace(loc, o1, o2, o3);
         if (!target)
@@ -172,17 +175,17 @@ BlockTree::neighbors(const LogicalLocation& loc) const
         auto it = nodes_.find(*target);
         if (it != nodes_.end()) {
             if (it->second == Node::Leaf) {
-                result.push_back({*target, o1, o2, o3});
+                out.push_back({*target, o1, o2, o3});
             } else {
                 // Finer neighbors: 2:1 guarantees the children touching
                 // our shared boundary are leaves.
-                for (const auto& kid :
-                     touchingChildren(*target, o1, o2, o3)) {
-                    require(isLeaf(kid),
-                            "2:1 violation: expected leaf child at ",
-                            kid.str());
-                    result.push_back({kid, o1, o2, o3});
-                }
+                forEachTouchingChild(
+                    *target, o1, o2, o3, [&](const LogicalLocation& kid) {
+                        if (!isLeaf(kid))
+                            panic("2:1 violation: expected leaf child at ",
+                                  kid.str());
+                        out.push_back({kid, o1, o2, o3});
+                    });
             }
             return;
         }
@@ -191,14 +194,14 @@ BlockTree::neighbors(const LogicalLocation& loc) const
         if (target->level > 0) {
             const LogicalLocation up = target->parent();
             if (isLeaf(up)) {
-                result.push_back({up, o1, o2, o3});
+                out.push_back({up, o1, o2, o3});
                 return;
             }
         }
         panic("no covering leaf for neighbor region ", target->str(),
               " of ", loc.str());
     });
-    return result;
+    return out;
 }
 
 std::optional<LogicalLocation>
@@ -249,8 +252,8 @@ BlockTree::refine(const LogicalLocation& loc,
         }
     });
     auto it = nodes_.find(loc);
-    require(it != nodes_.end() && it->second == Node::Leaf,
-            "refine: leaf vanished during balancing at ", loc.str());
+    if (it == nodes_.end() || it->second != Node::Leaf)
+        panic("refine: leaf vanished during balancing at ", loc.str());
     it->second = Node::Internal;
     --leaf_count_;
     for (const auto& kid : children(loc)) {
@@ -284,13 +287,12 @@ BlockTree::derefine(const LogicalLocation& parent)
         auto it = nodes_.find(*target);
         if (it == nodes_.end() || it->second == Node::Leaf)
             return;
-        for (const auto& kid : touchingChildren(*target, o1, o2, o3)) {
-            auto kit = nodes_.find(kid);
-            if (kit != nodes_.end() && kit->second == Node::Internal) {
-                blocked = true;
-                return;
-            }
-        }
+        forEachTouchingChild(
+            *target, o1, o2, o3, [&](const LogicalLocation& kid) {
+                auto kit = nodes_.find(kid);
+                if (kit != nodes_.end() && kit->second == Node::Internal)
+                    blocked = true;
+            });
     });
     if (blocked)
         return false;
@@ -376,29 +378,27 @@ BlockTree::checkBalance() const
             if (it != nodes_.end() && it->second == Node::Leaf)
                 ok = false;
         }
-        // 2:1: every neighbor region resolves to a leaf within 1 level.
-        forEachDirection([&](int o1, int o2, int o3) {
-            auto target = displace(loc, o1, o2, o3);
-            if (!target)
-                return;
-            if (nodes_.count(*target))
-                return; // same level or finer (children are checked below)
-            if (target->level == 0 || !isLeaf(target->parent()))
-                ok = false;
-        });
-        // No leaf may touch a region refined 2+ levels deeper.
+        // 2:1: every neighbor region resolves to a leaf within 1 level:
+        // a coarser region's parent is a leaf, and no leaf touches a
+        // region refined 2+ levels deeper.
         forEachDirection([&](int o1, int o2, int o3) {
             auto target = displace(loc, o1, o2, o3);
             if (!target)
                 return;
             auto it = nodes_.find(*target);
-            if (it == nodes_.end() || it->second == Node::Leaf)
-                return;
-            for (const auto& kid : touchingChildren(*target, o1, o2, o3)) {
-                auto kit = nodes_.find(kid);
-                if (kit == nodes_.end() || kit->second != Node::Leaf)
+            if (it == nodes_.end()) {
+                if (target->level == 0 || !isLeaf(target->parent()))
                     ok = false;
+                return;
             }
+            if (it->second == Node::Leaf)
+                return;
+            forEachTouchingChild(
+                *target, o1, o2, o3, [&](const LogicalLocation& kid) {
+                    auto kit = nodes_.find(kid);
+                    if (kit == nodes_.end() || kit->second != Node::Leaf)
+                        ok = false;
+                });
         });
     }
     return ok && leaves_seen == leaf_count_;

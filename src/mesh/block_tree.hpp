@@ -174,15 +174,17 @@ class BlockTree
     std::vector<LogicalLocation> children(const LogicalLocation& loc) const;
 
     /**
-     * Children of `neighbor_region` (at neighbor_region.level + 1) that
-     * touch the boundary shared with a block in direction (-ox1,...).
+     * Visit the children of `neighbor_region` (at level + 1) that touch
+     * the boundary shared with a block in direction (-ox1,...), in
+     * child-octant order.
      */
-    std::vector<LogicalLocation>
-    touchingChildren(const LogicalLocation& neighbor_region, int ox1,
-                     int ox2, int ox3) const;
+    template <typename Fn>
+    void forEachTouchingChild(const LogicalLocation& neighbor_region,
+                              int ox1, int ox2, int ox3, Fn&& fn) const;
 
-    void forEachDirection(
-        const std::function<void(int, int, int)>& fn) const;
+    /** Visit every face/edge/corner direction of the active dims. */
+    template <typename Fn>
+    void forEachDirection(Fn&& fn) const;
 
     TreeConfig config_;
     std::unordered_map<LogicalLocation, Node, LogicalLocationHash> nodes_;

@@ -70,8 +70,8 @@ MeshBlock::releaseAll()
 void
 MeshBlock::materialize(const ExecContext& ctx, BlockMemoryPool* pool)
 {
-    require(mode_ == DataMode::Shadow,
-            "materialize() requires a Shadow block: ", loc_.str());
+    if (mode_ != DataMode::Shadow)
+        panic("materialize() requires a Shadow block: ", loc_.str());
     pool_ = pool;
     tracker_ = ctx.tracker();
     mode_ = ctx.executing() ? DataMode::Real : DataMode::Virtual;
@@ -82,8 +82,8 @@ MeshBlock::materialize(const ExecContext& ctx, BlockMemoryPool* pool)
 void
 MeshBlock::dematerialize()
 {
-    require(mode_ != DataMode::Shadow,
-            "dematerialize() on an already-shadow block: ", loc_.str());
+    if (mode_ == DataMode::Shadow)
+        panic("dematerialize() on an already-shadow block: ", loc_.str());
     releaseAll();
     if (mode_ == DataMode::Real) {
         // Unpooled arrays (or a Virtual block's nothing) still need
@@ -111,8 +111,8 @@ MeshBlock::serializedStateCount() const
 std::vector<double>
 MeshBlock::serializeState() const
 {
-    require(mode_ == DataMode::Real,
-            "serializeState() requires materialized data: ", loc_.str());
+    if (mode_ != DataMode::Real)
+        panic("serializeState() requires materialized data: ", loc_.str());
     std::vector<double> payload;
     payload.reserve(serializedStateCount());
     payload.insert(payload.end(), cons_.data(),
@@ -125,13 +125,13 @@ MeshBlock::serializeState() const
 void
 MeshBlock::deserializeState(const std::vector<double>& payload)
 {
-    require(mode_ == DataMode::Real,
-            "deserializeState() requires materialized storage: ",
-            loc_.str());
-    require(payload.size() == cons_.size() + derived_.size(),
-            "migrated block payload size mismatch for ", loc_.str(),
-            ": got ", payload.size(), ", expected ",
-            cons_.size() + derived_.size());
+    if (mode_ != DataMode::Real)
+        panic("deserializeState() requires materialized storage: ",
+              loc_.str());
+    if (payload.size() != cons_.size() + derived_.size())
+        panic("migrated block payload size mismatch for ", loc_.str(),
+              ": got ", payload.size(), ", expected ",
+              cons_.size() + derived_.size());
     std::copy(payload.begin(),
               payload.begin() + static_cast<std::ptrdiff_t>(cons_.size()),
               cons_.data());

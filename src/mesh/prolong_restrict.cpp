@@ -127,10 +127,9 @@ applyRestrictedOctant(const ExecContext& ctx, MeshBlock& parent,
     const int cn1 = shape.nx1 / 2;
     const int cn2 = ndim >= 2 ? shape.nx2 / 2 : 1;
     const int cn3 = ndim >= 3 ? shape.nx3 / 2 : 1;
-    require(payload.size() ==
-                static_cast<std::size_t>(ncons) * cn3 * cn2 * cn1,
-            "restricted octant payload size mismatch for ",
-            child_loc.str());
+    if (payload.size() != static_cast<std::size_t>(ncons) * cn3 * cn2 * cn1)
+        panic("restricted octant payload size mismatch for ",
+              child_loc.str());
 
     // Pure unpack: one write per coarse cell.
     const KernelCosts costs{0.0,

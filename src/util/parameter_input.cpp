@@ -45,7 +45,9 @@ knownKnobs()
         {"driver",
          {"ncycles", "tlim", "fixed_dt", "checkpoint_every",
           "checkpoint_path", "checkpoint_async"}},
-        {"comm", {"randomize_buffer_keys"}},
+        // No knobs left; kept recognized so a deck that still sets
+        // the retired randomize_buffer_keys fails instead of parsing.
+        {"comm", {}},
         {"job", {"package"}},
         {"obs", {"trace", "metrics"}},
         {"burgers",
@@ -103,7 +105,7 @@ ParameterInput::fromString(const std::string& text)
                 valid << (valid.tellp() > 0 ? ", " : "") << knob;
             fatal("input deck line ", lineno, ": unknown parameter '",
                   key, "' in block <", block, "> (known knobs: ",
-                  valid.str(), ")");
+                  valid.tellp() > 0 ? valid.str() : "none", ")");
         }
         pin.set(block, key, value);
     }

@@ -4,8 +4,7 @@
  *
  * A small xoshiro256** implementation is used instead of <random> engines
  * so results are identical across standard libraries; reproducibility of
- * the boundary-key randomization (paper §VIII-A) and of the workload
- * generators matters for the regression tests.
+ * the workload generators matters for the regression tests.
  */
 #pragma once
 

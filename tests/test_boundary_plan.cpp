@@ -13,8 +13,11 @@
  *   exactly.
  * - Direct rows: same-rank entries never become messages; each rank's
  *   direct table holds exactly its same-rank channels, in canonical
- *   channel order whatever the cache's storage order, split into
- *   kPlanPartitions contiguous ranges.
+ *   channel order, split into kPlanPartitions contiguous ranges.
+ * - Oracle: through random remeshes and rank relabels, every message
+ *   directory and direct table equals a test-local build that sorts a
+ *   copy of the cache by the canonical key (the plan itself does not
+ *   sort: the cache is canonical).
  * - Equivalence: rank-sharded runs are bitwise identical to the
  *   classic run at the same thread count for both physics packages
  *   across 1/2/4 threads and 2/4 ranks, through mid-run remeshes and
@@ -24,7 +27,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <numeric>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -58,14 +65,13 @@ struct PlanFixture
     BoundaryBufferCache cache;
     BoundaryPlan plan;
 
-    explicit PlanFixture(const MeshConfig& config, int nranks,
-                         bool randomize_keys = false)
+    PlanFixture(const MeshConfig& config, int nranks,
+                ExecMode mode = ExecMode::Execute)
         : package(makePackage("advection")),
           registry(package->buildRegistry()),
-          ctx(ExecMode::Execute, &profiler, &tracker,
-              makeExecutionSpace(1)),
-          mesh(config, registry, ctx), world(nranks),
-          cache(mesh, randomize_keys), plan(mesh, cache, world)
+          ctx(mode, &profiler, &tracker, makeExecutionSpace(1)),
+          mesh(config, registry, ctx), world(nranks), cache(mesh),
+          plan(mesh, cache, world)
     {
     }
 };
@@ -217,12 +223,91 @@ canonicalKey(const ChannelId& id)
                            id.sender.lx1, id.o1, id.o2, id.o3);
 }
 
+/**
+ * The old plan build, test-local: sort a copy of the cache's channel
+ * indices by the canonical key, bucket them by (src, dst) rank pair
+ * and lay out offsets. Every message directory and direct table of the
+ * (built) plan must equal it entry for entry.
+ */
+void
+expectPlanMatchesSortedCacheOracle(const PlanFixture& fx)
+{
+    const int ncomp = fx.registry.ncompConserved();
+    for (PlanPhase phase : {PlanPhase::Bounds, PlanPhase::Flux}) {
+        const bool bounds = phase == PlanPhase::Bounds;
+        const std::size_t nchannels =
+            bounds ? fx.cache.bounds().size() : fx.cache.flux().size();
+        auto id_of = [&](int c) -> const ChannelId& {
+            return bounds ? fx.cache.bounds()[c].id : fx.cache.flux()[c].id;
+        };
+        auto ends = [&](int c) {
+            return bounds ? std::make_pair(
+                                fx.cache.bounds()[c].sender->rank(),
+                                fx.cache.bounds()[c].receiver->rank())
+                          : std::make_pair(
+                                fx.cache.flux()[c].sender->rank(),
+                                fx.cache.flux()[c].receiver->rank());
+        };
+        auto units = [&](int c) {
+            return bounds ? fx.cache.bounds()[c].wireCells()
+                          : fx.cache.flux()[c].wireFaces();
+        };
+        std::vector<int> sorted(nchannels);
+        std::iota(sorted.begin(), sorted.end(), 0);
+        std::sort(sorted.begin(), sorted.end(), [&](int a, int b) {
+            return canonicalKey(id_of(a)) < canonicalKey(id_of(b));
+        });
+        std::map<std::pair<int, int>, std::vector<PlanEntry>> oracle;
+        for (const int c : sorted) {
+            auto& entries = oracle[ends(c)];
+            PlanEntry entry;
+            entry.channel = c;
+            entry.offset = entries.empty() ? 0
+                                           : entries.back().offset +
+                                                 entries.back().count;
+            entry.count = static_cast<std::size_t>(units(c)) * ncomp;
+            entries.push_back(entry);
+        }
+
+        std::size_t nmessages = 0;
+        for (const auto& [pair, entries] : oracle) {
+            const auto [src, dst] = pair;
+            const std::vector<PlanEntry>* got = nullptr;
+            std::size_t doubles = 0;
+            if (src == dst) {
+                const PlanDirect& d = fx.plan.direct(phase, src);
+                got = &d.entries;
+                doubles = d.doubles;
+            } else {
+                const PlanMessage* msg = fx.plan.messageFor(phase, src, dst);
+                ASSERT_NE(msg, nullptr)
+                    << planPhaseName(phase) << " " << src << "->" << dst;
+                got = &msg->entries;
+                doubles = msg->doubles;
+                ++nmessages;
+            }
+            ASSERT_EQ(got->size(), entries.size())
+                << planPhaseName(phase) << " " << src << "->" << dst;
+            for (std::size_t e = 0; e < entries.size(); ++e) {
+                EXPECT_EQ((*got)[e].channel, entries[e].channel);
+                EXPECT_EQ((*got)[e].offset, entries[e].offset);
+                EXPECT_EQ((*got)[e].count, entries[e].count);
+            }
+            EXPECT_EQ(doubles,
+                      entries.back().offset + entries.back().count);
+        }
+        EXPECT_EQ(fx.plan.messages(phase).size(), nmessages);
+        for (int rank = 0; rank < fx.world.nranks(); ++rank)
+            if (!oracle.count({rank, rank}))
+                EXPECT_TRUE(fx.plan.direct(phase, rank).entries.empty());
+    }
+}
+
 TEST(BoundaryPlanDirectory, SameRankEntriesAreDirectRowsInCanonicalOrder)
 {
     // A 4 x 2 x 1 slab of blocks, non-periodic, split into two 2 x 2
     // halves by lx1, with one block per half refined so both ranks
-    // hold bounds and flux direct rows and cross-rank messages. Built
-    // twice: with sorted and with shuffled cache storage.
+    // hold bounds and flux direct rows and cross-rank messages.
     MeshConfig config;
     config.nx1 = 32;
     config.nx2 = 16;
@@ -231,92 +316,110 @@ TEST(BoundaryPlanDirectory, SameRankEntriesAreDirectRowsInCanonicalOrder)
     config.amrLevels = 2;
     config.periodic = false;
     config.numRanks = 2;
-    std::vector<std::vector<ChannelId>> tables;
-    for (bool randomize : {false, true}) {
-        PlanFixture fx(config, 2, randomize);
-        RefinementFlagMap flags;
-        flags[{0, 1, 0, 0}] = RefinementFlag::Refine;
-        flags[{0, 2, 0, 0}] = RefinementFlag::Refine;
-        fx.mesh.applyTreeUpdate(fx.mesh.updateTree(flags), 0);
-        for (const auto& block : fx.mesh.blocks())
-            block->setRank(block->loc().lx1 < (block->loc().level == 0
-                                                   ? 2
-                                                   : 4)
-                               ? 0
-                               : 1);
-        fx.cache.rebuild();
-        fx.plan.ensureBuilt();
+    PlanFixture fx(config, 2);
+    RefinementFlagMap flags;
+    flags[{0, 1, 0, 0}] = RefinementFlag::Refine;
+    flags[{0, 2, 0, 0}] = RefinementFlag::Refine;
+    fx.mesh.applyTreeUpdate(fx.mesh.updateTree(flags), 0);
+    for (const auto& block : fx.mesh.blocks())
+        block->setRank(
+            block->loc().lx1 < (block->loc().level == 0 ? 2 : 4) ? 0 : 1);
+    fx.cache.rebuild();
+    fx.plan.ensureBuilt();
 
-        for (PlanPhase phase : {PlanPhase::Bounds, PlanPhase::Flux}) {
-            const bool bounds = phase == PlanPhase::Bounds;
-            const std::size_t nchannels =
-                bounds ? fx.cache.bounds().size() : fx.cache.flux().size();
-            auto ends = [&](int c) {
-                return bounds ? std::make_pair(
-                                    fx.cache.bounds()[c].sender->rank(),
-                                    fx.cache.bounds()[c].receiver->rank())
-                              : std::make_pair(
-                                    fx.cache.flux()[c].sender->rank(),
-                                    fx.cache.flux()[c].receiver->rank());
-            };
-            auto id_of = [&](int c) -> const ChannelId& {
-                return bounds ? fx.cache.bounds()[c].id
-                              : fx.cache.flux()[c].id;
-            };
-            std::size_t direct_total = 0, message_total = 0;
-            for (const PlanMessage& m : fx.plan.messages(phase)) {
-                EXPECT_NE(m.src, m.dst) << planPhaseName(phase);
-                message_total += m.entries.size();
-            }
-            for (int rank = 0; rank < 2; ++rank) {
-                EXPECT_EQ(fx.plan.messageFor(phase, rank, rank), nullptr);
-                const PlanDirect& d = fx.plan.direct(phase, rank);
-                std::size_t expect = 0;
-                for (std::size_t c = 0; c < nchannels; ++c)
-                    expect += ends(static_cast<int>(c)) ==
-                              std::make_pair(rank, rank);
-                EXPECT_EQ(d.entries.size(), expect)
-                    << planPhaseName(phase) << " rank " << rank;
-                EXPECT_GT(d.entries.size(), 0u)
-                    << planPhaseName(phase) << " rank " << rank;
-                direct_total += d.entries.size();
-                std::size_t doubles = 0;
-                std::vector<ChannelId> ids;
-                for (std::size_t e = 0; e < d.entries.size(); ++e) {
-                    const int c = d.entries[e].channel;
-                    EXPECT_EQ(ends(c), std::make_pair(rank, rank));
-                    EXPECT_EQ(d.entries[e].offset, doubles);
-                    doubles += d.entries[e].count;
-                    if (e > 0)
-                        EXPECT_LT(canonicalKey(id_of(
-                                      d.entries[e - 1].channel)),
-                                  canonicalKey(id_of(c)));
-                    ids.push_back(id_of(c));
-                }
-                EXPECT_EQ(d.doubles, doubles);
-                EXPECT_EQ(d.bytes,
-                          static_cast<double>(doubles) * sizeof(double));
-                // The plan-time split tiles the table in order.
-                ASSERT_EQ(d.partStart.size(),
-                          static_cast<std::size_t>(kPlanPartitions + 1));
-                EXPECT_EQ(d.partStart.front(), 0);
-                EXPECT_EQ(d.partStart.back(),
-                          static_cast<int>(d.entries.size()));
-                for (int p = 0; p < kPlanPartitions; ++p)
-                    EXPECT_LE(d.partStart[p], d.partStart[p + 1]);
-                tables.push_back(std::move(ids));
-            }
-            // Every channel is a direct row or a message entry, once.
-            EXPECT_EQ(direct_total + message_total, nchannels);
+    for (PlanPhase phase : {PlanPhase::Bounds, PlanPhase::Flux}) {
+        const bool bounds = phase == PlanPhase::Bounds;
+        const std::size_t nchannels =
+            bounds ? fx.cache.bounds().size() : fx.cache.flux().size();
+        auto ends = [&](int c) {
+            return bounds ? std::make_pair(
+                                fx.cache.bounds()[c].sender->rank(),
+                                fx.cache.bounds()[c].receiver->rank())
+                          : std::make_pair(
+                                fx.cache.flux()[c].sender->rank(),
+                                fx.cache.flux()[c].receiver->rank());
+        };
+        auto id_of = [&](int c) -> const ChannelId& {
+            return bounds ? fx.cache.bounds()[c].id : fx.cache.flux()[c].id;
+        };
+        std::size_t direct_total = 0, message_total = 0;
+        for (const PlanMessage& m : fx.plan.messages(phase)) {
+            EXPECT_NE(m.src, m.dst) << planPhaseName(phase);
+            message_total += m.entries.size();
         }
+        for (int rank = 0; rank < 2; ++rank) {
+            EXPECT_EQ(fx.plan.messageFor(phase, rank, rank), nullptr);
+            const PlanDirect& d = fx.plan.direct(phase, rank);
+            std::size_t expect = 0;
+            for (std::size_t c = 0; c < nchannels; ++c)
+                expect +=
+                    ends(static_cast<int>(c)) == std::make_pair(rank, rank);
+            EXPECT_EQ(d.entries.size(), expect)
+                << planPhaseName(phase) << " rank " << rank;
+            EXPECT_GT(d.entries.size(), 0u)
+                << planPhaseName(phase) << " rank " << rank;
+            direct_total += d.entries.size();
+            std::size_t doubles = 0;
+            for (std::size_t e = 0; e < d.entries.size(); ++e) {
+                const int c = d.entries[e].channel;
+                EXPECT_EQ(ends(c), std::make_pair(rank, rank));
+                EXPECT_EQ(d.entries[e].offset, doubles);
+                doubles += d.entries[e].count;
+                if (e > 0)
+                    EXPECT_LT(canonicalKey(id_of(d.entries[e - 1].channel)),
+                              canonicalKey(id_of(c)));
+            }
+            EXPECT_EQ(d.doubles, doubles);
+            EXPECT_EQ(d.bytes, static_cast<double>(doubles) * sizeof(double));
+            // The plan-time split tiles the table in order.
+            ASSERT_EQ(d.partStart.size(),
+                      static_cast<std::size_t>(kPlanPartitions + 1));
+            EXPECT_EQ(d.partStart.front(), 0);
+            EXPECT_EQ(d.partStart.back(), static_cast<int>(d.entries.size()));
+            for (int p = 0; p < kPlanPartitions; ++p)
+                EXPECT_LE(d.partStart[p], d.partStart[p + 1]);
+        }
+        // Every channel is a direct row or a message entry, once.
+        EXPECT_EQ(direct_total + message_total, nchannels);
     }
-    // Sorted and shuffled caches give the same direct tables.
-    ASSERT_EQ(tables.size(), 8u);
-    for (std::size_t t = 0; t < 4; ++t) {
-        ASSERT_EQ(tables[t].size(), tables[t + 4].size());
-        for (std::size_t e = 0; e < tables[t].size(); ++e)
-            EXPECT_EQ(canonicalKey(tables[t][e]),
-                      canonicalKey(tables[t + 4][e]));
+    expectPlanMatchesSortedCacheOracle(fx);
+}
+
+TEST(BoundaryPlanDirectory, TablesMatchSortedCacheOracle)
+{
+    // Seeded random refine/derefine sequences and rank relabels on a
+    // 3-level mesh over 3 ranks: after every rebuild the plan, which
+    // buckets the canonical cache without sorting, equals the oracle
+    // that sorts a copy of it.
+    MeshConfig config;
+    config.nx1 = config.nx2 = config.nx3 = 32;
+    config.blockNx1 = config.blockNx2 = config.blockNx3 = 8;
+    config.amrLevels = 3;
+    config.numRanks = 3;
+    for (unsigned seed : {4u, 5u}) {
+        PlanFixture fx(config, 3, ExecMode::Count);
+        fx.cache.setRebuildHook([&] { fx.plan.invalidate(); });
+        std::mt19937_64 rng(seed);
+        std::uniform_real_distribution<double> u(0.0, 1.0);
+        int deepest = 0;
+        for (int round = 0; round < 5; ++round) {
+            RefinementFlagMap flags;
+            for (const auto& block : fx.mesh.blocks()) {
+                const double p = u(rng);
+                if (p < 0.15)
+                    flags[block->loc()] = RefinementFlag::Refine;
+                else if (p < 0.5)
+                    flags[block->loc()] = RefinementFlag::Derefine;
+            }
+            fx.mesh.applyTreeUpdate(fx.mesh.updateTree(flags), round);
+            deepest = std::max(deepest, fx.mesh.maxPresentLevel());
+            for (const auto& block : fx.mesh.blocks())
+                block->setRank(static_cast<int>(rng() % 3));
+            fx.cache.rebuild();
+            fx.plan.ensureBuilt();
+            expectPlanMatchesSortedCacheOracle(fx);
+        }
+        EXPECT_EQ(deepest, 2) << "seed " << seed;
     }
 }
 

@@ -7,9 +7,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <tuple>
 
 #include "comm/boundary_buffers.hpp"
 #include "comm/ghost_exchange.hpp"
@@ -104,8 +106,7 @@ struct CommFixture
     std::unique_ptr<GhostExchange> exchange;
 
     CommFixture(int mesh_nx, int block_nx, int levels, ExecMode mode,
-                int nranks = 1, bool randomize = false,
-                int num_threads = envNumThreads())
+                int nranks = 1, int num_threads = envNumThreads())
     {
         ctx = std::make_unique<ExecContext>(
             mode, &profiler, &tracker,
@@ -116,7 +117,7 @@ struct CommFixture
         config.amrLevels = levels;
         mesh = std::make_unique<Mesh>(config, registry, *ctx);
         world = std::make_unique<RankWorld>(nranks);
-        cache = std::make_unique<BoundaryBufferCache>(*mesh, randomize);
+        cache = std::make_unique<BoundaryBufferCache>(*mesh);
         exchange =
             std::make_unique<GhostExchange>(*mesh, *world, *cache);
     }
@@ -240,14 +241,95 @@ TEST(BoundaryBuffers, CoarseSlabIncludesPad)
     }
 }
 
-TEST(BoundaryBuffers, RandomizationPreservesChannelSet)
+/** The canonical channel key: receiver, sender, direction. */
+auto
+channelKey(const ChannelId& id)
 {
-    CommFixture sorted(16, 8, 1, ExecMode::Count, 1, false);
-    CommFixture shuffled(16, 8, 1, ExecMode::Count, 1, true);
-    EXPECT_EQ(sorted.cache->bounds().size(),
-              shuffled.cache->bounds().size());
-    EXPECT_EQ(sorted.cache->totalWireCells(),
-              shuffled.cache->totalWireCells());
+    return std::make_tuple(id.receiver.level, id.receiver.lx3,
+                           id.receiver.lx2, id.receiver.lx1,
+                           id.sender.level, id.sender.lx3, id.sender.lx2,
+                           id.sender.lx1, id.o1, id.o2, id.o3);
+}
+
+TEST(BoundaryBuffers, StorageIsCanonicalOrder)
+{
+    // Seeded random refine/derefine sequences and load-balance
+    // relabels on a 3-level mesh. After every rebuild the cache holds
+    // exactly the channels of the mesh's neighbor lists, sorted by the
+    // canonical key with no duplicates (the order the plan's message
+    // directory relies on), and canonicalLess agrees with that key.
+    for (unsigned seed : {1u, 2u, 3u}) {
+        CommFixture f(32, 8, 3, ExecMode::Count, 2);
+        std::mt19937_64 rng(seed);
+        std::uniform_real_distribution<double> u(0.0, 1.0);
+        int deepest = 0;
+        for (int round = 0; round < 6; ++round) {
+            RefinementFlagMap flags;
+            for (const auto& block : f.mesh->blocks()) {
+                const double p = u(rng);
+                if (p < 0.15)
+                    flags[block->loc()] = RefinementFlag::Refine;
+                else if (p < 0.6)
+                    flags[block->loc()] = RefinementFlag::Derefine;
+            }
+            f.mesh->applyTreeUpdate(f.mesh->updateTree(flags), round);
+            deepest = std::max(deepest, f.mesh->maxPresentLevel());
+            f.cache->rebuild();
+            for (int relabel = 0; relabel < 2; ++relabel) {
+                for (const auto& block : f.mesh->blocks())
+                    block->setRank(static_cast<int>(rng() % 2));
+                f.cache->rebuild();
+
+                // Oracle: every neighbor-list entry as a channel id,
+                // sorted by the key (the old sort-everything cache).
+                std::vector<ChannelId> bounds, flux;
+                for (const auto& block : f.mesh->blocks())
+                    for (const NeighborBlock& nb :
+                         f.mesh->neighbors(block->gid())) {
+                        ChannelId id{nb.block->loc(), block->loc(),
+                                     static_cast<std::int8_t>(nb.ox1),
+                                     static_cast<std::int8_t>(nb.ox2),
+                                     static_cast<std::int8_t>(nb.ox3),
+                                     ChannelKind::Bounds};
+                        bounds.push_back(id);
+                        const int dims = std::abs(nb.ox1) +
+                                         std::abs(nb.ox2) +
+                                         std::abs(nb.ox3);
+                        if (nb.levelDiff == 1 && dims == 1) {
+                            id.kind = ChannelKind::Flux;
+                            flux.push_back(id);
+                        }
+                    }
+                auto by_key = [](const ChannelId& a, const ChannelId& b) {
+                    return channelKey(a) < channelKey(b);
+                };
+                std::sort(bounds.begin(), bounds.end(), by_key);
+                std::sort(flux.begin(), flux.end(), by_key);
+                ASSERT_EQ(f.cache->bounds().size(), bounds.size());
+                ASSERT_EQ(f.cache->flux().size(), flux.size());
+                for (std::size_t c = 0; c < bounds.size(); ++c) {
+                    ASSERT_EQ(f.cache->bounds()[c].id, bounds[c])
+                        << "seed " << seed << " channel " << c;
+                    if (c > 0) {
+                        ASSERT_LT(channelKey(bounds[c - 1]),
+                                  channelKey(bounds[c]));
+                        EXPECT_TRUE(
+                            canonicalLess(bounds[c - 1], bounds[c]));
+                        EXPECT_FALSE(
+                            canonicalLess(bounds[c], bounds[c - 1]));
+                    }
+                }
+                for (std::size_t c = 0; c < flux.size(); ++c) {
+                    ASSERT_EQ(f.cache->flux()[c].id, flux[c])
+                        << "seed " << seed << " flux channel " << c;
+                    if (c > 0)
+                        ASSERT_LT(channelKey(flux[c - 1]),
+                                  channelKey(flux[c]));
+                }
+            }
+        }
+        EXPECT_EQ(deepest, 2) << "seed " << seed;
+    }
 }
 
 TEST(BoundaryBuffers, RemoteAccountingFollowsRanks)
@@ -436,7 +518,7 @@ TEST(GhostExchange, NumericSmallBlockAmrIsRejected)
     config.amrLevels = 2;
     Mesh mesh(config, registry, ctx);
     RankWorld world(1);
-    BoundaryBufferCache cache(mesh, false);
+    BoundaryBufferCache cache(mesh);
     EXPECT_THROW(GhostExchange(mesh, world, cache), FatalError);
 }
 
@@ -530,7 +612,7 @@ TEST(FluxCorrection, ConservationHoldsOnSerialAndThreadPoolSpaces)
     // across a 2-level mesh after exchangeFluxCorrections(), with real
     // solver fluxes (not synthetic fills), on both execution backends.
     for (int threads : {1, 4}) {
-        CommFixture f(16, 8, 2, ExecMode::Execute, 2, false, threads);
+        CommFixture f(16, 8, 2, ExecMode::Execute, 2, threads);
         f.refineAt({0, 0, 0, 0});
         f.assignRanks();
         fillInterior(*f.mesh);
@@ -741,7 +823,7 @@ TEST(GhostExchange, ProlongationMatchesPerCellOracleBitwise)
                     cons.data()[v] = oracleValue(rng);
             }
             RankWorld world(1);
-            BoundaryBufferCache cache(mesh, false);
+            BoundaryBufferCache cache(mesh);
             GhostExchange exchange(mesh, world, cache);
             const BlockShape shape = config.blockShape();
             const int ncomp = registry.ncompConserved();

@@ -104,8 +104,7 @@ struct ExchangeFixture
         : ctx(ExecMode::Execute, &profiler, &tracker,
               makeExecutionSpace(threads)),
           mesh(config, registry, ctx), world(nranks),
-          cache(mesh, /*randomize_keys=*/true),
-          exchange(mesh, world, cache)
+          cache(mesh), exchange(mesh, world, cache)
     {
         cache.setRebuildHook([this] { exchange.plan().invalidate(); });
     }

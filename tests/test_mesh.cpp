@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "exec/kernel_profiler.hpp"
 #include "exec/memory_tracker.hpp"
 #include "mesh/mesh.hpp"
@@ -309,6 +312,59 @@ TEST(Mesh, NeighborListsMatchTreeCounts)
     for (const auto& block : mesh.blocks())
         EXPECT_EQ(mesh.neighbors(block->gid()).size(), 26u);
     EXPECT_EQ(mesh.totalNeighborLinks(), 26u * mesh.numBlocks());
+}
+
+TEST(Mesh, NeighborListsMatchTreeOracleThroughRemesh)
+{
+    // Seeded random refine/derefine sequences on a 3-level mesh, in 3-D
+    // and 2-D, periodic and not. After every remesh each block's list
+    // equals the tree's neighbors of its location, resolved to blocks
+    // by location: same order, directions and level differences.
+    for (int ndim : {3, 2}) {
+        for (bool periodic : {true, false}) {
+            MeshFixtureBits bits;
+            ExecContext ctx(ExecMode::Count, &bits.profiler, &bits.tracker);
+            MeshConfig config;
+            config.ndim = ndim;
+            config.nx1 = config.nx2 = config.nx3 = 32;
+            config.blockNx1 = config.blockNx2 = config.blockNx3 = 8;
+            config.amrLevels = 3;
+            config.periodic = periodic;
+            Mesh mesh(config, bits.registry, ctx);
+            std::mt19937_64 rng(static_cast<unsigned>(7 * ndim + periodic));
+            std::uniform_real_distribution<double> u(0.0, 1.0);
+            int deepest = 0;
+            for (int round = 0; round < 8; ++round) {
+                RefinementFlagMap flags;
+                for (const auto& block : mesh.blocks()) {
+                    const double p = u(rng);
+                    if (p < 0.2)
+                        flags[block->loc()] = RefinementFlag::Refine;
+                    else if (p < 0.6)
+                        flags[block->loc()] = RefinementFlag::Derefine;
+                }
+                mesh.applyTreeUpdate(mesh.updateTree(flags), round);
+                deepest = std::max(deepest, mesh.maxPresentLevel());
+                std::size_t links = 0;
+                for (const auto& block : mesh.blocks()) {
+                    const auto expect = mesh.tree().neighbors(block->loc());
+                    const auto& got = mesh.neighbors(block->gid());
+                    ASSERT_EQ(got.size(), expect.size()) << block->loc().str();
+                    for (std::size_t n = 0; n < got.size(); ++n) {
+                        EXPECT_EQ(got[n].block, mesh.find(expect[n].loc));
+                        EXPECT_EQ(got[n].ox1, expect[n].ox1);
+                        EXPECT_EQ(got[n].ox2, expect[n].ox2);
+                        EXPECT_EQ(got[n].ox3, expect[n].ox3);
+                        EXPECT_EQ(got[n].levelDiff,
+                                  expect[n].loc.level - block->loc().level);
+                    }
+                    links += got.size();
+                }
+                EXPECT_EQ(mesh.totalNeighborLinks(), links);
+            }
+            EXPECT_EQ(deepest, 2) << ndim << "-D periodic " << periodic;
+        }
+    }
 }
 
 TEST(Mesh, RestructureRefine)

@@ -45,7 +45,7 @@ struct World
         config.amrLevels = levels;
         mesh = std::make_unique<Mesh>(config, registry, *ctx);
         world = std::make_unique<RankWorld>(1);
-        cache = std::make_unique<BoundaryBufferCache>(*mesh, false);
+        cache = std::make_unique<BoundaryBufferCache>(*mesh);
         exchange =
             std::make_unique<GhostExchange>(*mesh, *world, *cache);
     }
@@ -197,7 +197,7 @@ TEST_P(MeshFuzz, RandomRestructuresKeepMeshConsistent)
     config.blockNx1 = config.blockNx2 = config.blockNx3 = 8;
     config.amrLevels = 3;
     Mesh mesh(config, registry, ctx);
-    BoundaryBufferCache cache(mesh, true, GetParam());
+    BoundaryBufferCache cache(mesh);
 
     const std::size_t bytes_per_block =
         tracker.currentBytes() / mesh.numBlocks();

@@ -402,6 +402,17 @@ TEST(ParameterInput, UnknownKnobInRecognizedBlockIsFatal)
         const std::string what = err.what();
         EXPECT_NE(what.find("pack_interior"), std::string::npos) << what;
     }
+    // The buffer cache is always canonical now: the retired shuffle
+    // knob fails too, although <comm> has no knobs left.
+    try {
+        ParameterInput::fromString("<comm>\nrandomize_buffer_keys = true\n");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError& err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("randomize_buffer_keys"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("<comm>"), std::string::npos) << what;
+    }
     try {
         ParameterInput::fromString("<mesh>\nnx_1 = 64\n");
         FAIL() << "expected FatalError";

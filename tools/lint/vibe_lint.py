@@ -31,6 +31,8 @@ Rule catalog (rationale lives with each rule below):
                         outside materialize/unpack paths
   io-isolation          no file I/O (fstream/fopen) outside src/io/
                         (bench/ and tools/ are outside the linted tree)
+  eager-require         no string building (.str(), std::to_string,
+                        std::string(...)) in require() arguments
 
 Usage:
   vibe_lint.py [--root DIR]    lint DIR/src (default: repo root)
@@ -60,20 +62,60 @@ class Rule:
     exempt:   path prefixes (or exact relative paths) never scanned.
     pattern:  violation regex, applied line-wise with comments
               stripped.
+    finder:   optional function from a file's raw lines to the 1-based
+              violation lines, for rules a line-wise regex cannot
+              express (calls spanning several lines); replaces
+              pattern.
     """
 
-    def __init__(self, name, scope, exempt, pattern, message, rationale):
+    def __init__(self, name, scope, exempt, pattern, message, rationale,
+                 finder=None):
         self.name = name
         self.scope = tuple(scope)
         self.exempt = tuple(exempt)
-        self.pattern = re.compile(pattern)
+        self.pattern = re.compile(pattern) if pattern else None
         self.message = message
         self.rationale = rationale
+        self.finder = finder
 
     def applies_to(self, relpath):
         if not relpath.startswith(self.scope):
             return False
         return not relpath.startswith(self.exempt)
+
+
+STRING_LITERAL = re.compile(r'"(?:\\.|[^"\\\n])*"')
+CHAR_LITERAL = re.compile(r"'(?:\\.|[^'\\\n])'")
+REQUIRE_CALL = re.compile(r"\brequire\s*\(")
+EAGER_STRING = re.compile(
+    r"(?:\.|->)\s*str\s*\(\s*\)|\bstd::to_string\s*\(|"
+    r"\bstd::string\s*\("
+)
+
+
+def eager_require_lines(lines):
+    """Lines of require( calls whose arguments build a string.
+
+    String and char literals are blanked first (so a paren or `//`
+    inside a message cannot unbalance the scan), then comments are
+    stripped and each call's arguments are read up to the matching
+    close paren, across lines.
+    """
+    blanked = [
+        CHAR_LITERAL.sub("' '", STRING_LITERAL.sub('""', line))
+        for line in lines
+    ]
+    text = "\n".join(strip_comments(blanked))
+    hits = []
+    for match in REQUIRE_CALL.finditer(text):
+        depth = 1
+        end = match.end()
+        while end < len(text) and depth:
+            depth += {"(": 1, ")": -1}.get(text[end], 0)
+            end += 1
+        if EAGER_STRING.search(text, match.end(), end):
+            hits.append(text.count("\n", 0, match.start()) + 1)
+    return hits
 
 
 RULES = [
@@ -269,6 +311,28 @@ RULES = [
             "audited exception."
         ),
     ),
+    Rule(
+        name="eager-require",
+        scope=("src/",),
+        exempt=(),
+        pattern=None,
+        message=(
+            "require() evaluates its message on every call: write "
+            "`if (!cond) panic(...)` so the string is built only on "
+            "failure"
+        ),
+        rationale=(
+            "require(cond, ...) is a plain function: every argument, "
+            "the message included, is evaluated before the condition "
+            "is tested. A loc.str() or std::to_string in the message "
+            "allocates and formats on every passing call. On per-row, "
+            "per-neighbor and per-poll paths that cost more than the "
+            "work being checked: a loc().str() per boundary row cost "
+            "about a sixth of amr-deep's FOM, and two per neighbor "
+            "link made up most of a remesh's neighbor rebuild."
+        ),
+        finder=eager_require_lines,
+    ),
 ]
 
 
@@ -364,9 +428,17 @@ def lint_file(path, relpath):
         if file_allow and file_allow.group(1) == rule.name:
             continue
         allowed = allowed_lines(lines, rule.name)
-        for i, line in enumerate(code):
-            if rule.pattern.search(line) and (i + 1) not in allowed:
-                findings.append((relpath, i + 1, rule.name, rule.message))
+        if rule.finder:
+            hits = rule.finder(lines)
+        else:
+            hits = [
+                i + 1
+                for i, line in enumerate(code)
+                if rule.pattern.search(line)
+            ]
+        for line in hits:
+            if line not in allowed:
+                findings.append((relpath, line, rule.name, rule.message))
     return findings
 
 

@@ -11,14 +11,14 @@
  * answer is `parForBlocks`: static chunks of whole blocks go to the
  * pool workers in ONE launch, and each block's kernels run in-line on
  * its worker. The harness times one RK stage's interior kernels
- * (PLM reconstruction + HLL fluxes, flux divergence, weighted-sum
- * update) on every block, driven two ways at 1/4/8 threads:
+ * (PLM reconstruction + HLL fluxes into the worker's flux scratch,
+ * then the fused divergence + weighted-sum update) on every block,
+ * driven two ways at 1/4/8 threads:
  *
  *  - per-block launches: a loop over the blocks calling
- *    `calculateFluxesBlock`, `fluxDivergenceBlock` and
- *    `stageUpdateBlock`, so every kernel of every block is its own
- *    pool fork-join over that block's rows;
- *  - one launch: the same three calls inside one `parForBlocks`
+ *    `calculateFluxesBlock` and `stageUpdateBlock`, so every kernel of
+ *    every block is its own pool fork-join over that block's rows;
+ *  - one launch: the same two calls inside one `parForBlocks`
  *    launch, the way the whole-mesh sweeps run and the way the stage
  *    graph runs blocks (whole blocks per worker).
  *
@@ -107,13 +107,14 @@ runPoint(const SweepPoint& point, int threads)
     saveState(mesh);
 
     // One RK stage's per-block interior kernels (one stage-graph
-    // block's task chain): reconstruction + fluxes, divergence,
-    // weighted-sum update.
+    // block's task on a single-level mesh): reconstruction + fluxes
+    // into the calling thread's scratch, then the fused update.
     const double dt = 1e-4;
+    const int ncomp = registry.ncompConserved();
     const auto stage = [&](MeshBlock& block) {
-        package.calculateFluxesBlock(mesh, block);
-        package.fluxDivergenceBlock(mesh, block);
-        stageUpdateBlock(mesh, block, 1, dt);
+        FaceFluxes& flux = workerFaceFluxes(block.shape(), ncomp);
+        package.calculateFluxesBlock(mesh, block, flux);
+        stageUpdateBlock(mesh, block, flux, 1, dt);
     };
     auto per_block_sweep = [&] {
         for (MeshBlock* block : mesh.ownedBlocks())

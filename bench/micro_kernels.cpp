@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the numerical and structural
  * hot paths: WENO5/PLM reconstruction, the HLL pencil, the full
  * CalculateFluxes row kernel against a memcpy ceiling of the same
- * modeled bytes, RK2 weighted sums, ghost pack/unpack (uniform and
+ * modeled bytes, the fused RK2 stage update against a memcpy of its
+ * bytes, ghost pack/unpack (uniform and
  * across AMR levels), per-class boundary rows (direct vs payload, next
  * to a memcpy of the same bytes), Morton keys, tree neighbor walks and
  * buffer-cache rebuilds.
@@ -105,7 +106,10 @@ modeledFluxBytes(int block)
     ExecContext ctx(ExecMode::Count, &profiler, &tracker);
     Mesh mesh(oneBlockConfig(block), registry, ctx);
     BurgersPackage package{BurgersConfig{}};
-    package.calculateFluxesBlock(mesh, mesh.block(0));
+    package.calculateFluxesBlock(
+        mesh, mesh.block(0),
+        workerFaceFluxes(mesh.config().blockShape(),
+                         registry.ncompConserved()));
     return static_cast<std::int64_t>(
         profiler.kernelByName("CalculateFluxes").bytes);
 }
@@ -126,8 +130,10 @@ BM_CalculateFluxesBlock(benchmark::State& state)
     Mesh mesh(oneBlockConfig(block), registry, ctx);
     BurgersPackage package{BurgersConfig{}};
     package.initialize(mesh, InitialCondition::Sine);
+    FaceFluxes& flux = workerFaceFluxes(mesh.config().blockShape(),
+                                        registry.ncompConserved());
     for (auto _ : state)
-        package.calculateFluxesBlock(mesh, mesh.block(0));
+        package.calculateFluxesBlock(mesh, mesh.block(0), flux);
     state.SetItemsProcessed(state.iterations() * block * block * block);
     state.SetBytesProcessed(state.iterations() * modeledFluxBytes(block));
 }
@@ -154,25 +160,66 @@ BM_MemcpyCeiling(benchmark::State& state)
 }
 BENCHMARK(BM_MemcpyCeiling)->Arg(8)->Arg(16)->Arg(32);
 
-void
-BM_Rk2Stage(benchmark::State& state)
+/**
+ * Bytes one fused stage update moves over a `block`^3 block with
+ * `ncomp` components: per interior cell and component it reads three
+ * face fluxes (one new face per direction), u0 and u, and writes u.
+ */
+std::int64_t
+stageUpdateBytes(int block, int ncomp)
 {
+    return std::int64_t{block} * block * block * ncomp * 6 *
+           static_cast<std::int64_t>(sizeof(double));
+}
+
+/**
+ * One fused stage update (divergence + weighted sum in one row pass)
+ * over a `block`^3 Burgers block (8 scalars), from fluxes in the
+ * worker's scratch as on a single-level mesh. Bytes/s reads against
+ * BM_StageUpdateMemcpyCeiling at the same size.
+ */
+void
+BM_StageUpdate(benchmark::State& state)
+{
+    const int block = static_cast<int>(state.range(0));
     KernelProfiler profiler;
     MemoryTracker tracker;
     auto registry = makeBurgersRegistry(8);
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker);
-    MeshConfig config;
-    config.nx1 = config.nx2 = config.nx3 = 32;
-    config.blockNx1 = config.blockNx2 = config.blockNx3 = 16;
-    config.amrLevels = 1;
-    Mesh mesh(config, registry, ctx);
+    Mesh mesh(oneBlockConfig(block), registry, ctx);
+    BurgersPackage package{BurgersConfig{}};
+    package.initialize(mesh, InitialCondition::Sine);
     saveState(mesh);
+    FaceFluxes& flux = workerFaceFluxes(mesh.config().blockShape(),
+                                        registry.ncompConserved());
+    package.calculateFluxesBlock(mesh, mesh.block(0), flux);
     for (auto _ : state)
-        for (MeshBlock* block : mesh.ownedBlocks())
-            stageUpdateBlock(mesh, *block, 1, 1e-3);
-    state.SetItemsProcessed(state.iterations() * 32 * 32 * 32);
+        stageUpdateBlock(mesh, mesh.block(0), flux, 2, 1e-9);
+    state.SetItemsProcessed(state.iterations() * block * block * block);
+    state.SetBytesProcessed(
+        state.iterations() *
+        stageUpdateBytes(block, registry.ncompConserved()));
 }
-BENCHMARK(BM_Rk2Stage);
+BENCHMARK(BM_StageUpdate)->Arg(8)->Arg(16)->Arg(32);
+
+/** memcpy of the bytes BM_StageUpdate moves for the same block size. */
+void
+BM_StageUpdateMemcpyCeiling(benchmark::State& state)
+{
+    const std::int64_t bytes = stageUpdateBytes(
+        static_cast<int>(state.range(0)),
+        makeBurgersRegistry(8).ncompConserved());
+    std::vector<char> src(static_cast<std::size_t>(bytes), 1);
+    std::vector<char> dst(static_cast<std::size_t>(bytes));
+    for (auto _ : state) {
+        std::memcpy(dst.data(), src.data(), dst.size());
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+        src[0] = static_cast<char>(src[0] + 1);
+    }
+    state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_StageUpdateMemcpyCeiling)->Arg(8)->Arg(16)->Arg(32);
 
 /**
  * One monolithic ghost exchange over a 32^3 mesh (block size, AMR

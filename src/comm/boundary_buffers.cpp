@@ -219,12 +219,20 @@ BoundaryBufferCache::rebuild()
     std::vector<std::uint64_t> position(blocks.size());
     for (std::size_t p = 0; p < receivers.size(); ++p)
         position[static_cast<std::size_t>(receivers[p])] = p;
+    // A sharded replica keeps only the channels with an owned endpoint.
+    // That is every channel of each rank pair it belongs to, so the
+    // replicas at both ends of a pair list its channels identically
+    // (and in canonical order), and their message directories agree.
+    const int me = mesh_->shardRank();
     std::vector<std::pair<std::uint64_t, std::size_t>> order;
     for (const int gid : receivers) {
         const auto& nbs = mesh_->neighbors(gid);
+        const bool owned_receiver = me < 0 || blocks[gid]->rank() == me;
         order.clear();
         for (std::size_t n = 0; n < nbs.size(); ++n) {
             const NeighborBlock& nb = nbs[n];
+            if (!owned_receiver && nb.block->rank() != me)
+                continue;
             // (o1, o2, o3) in lexicographic order, 0..26.
             const int dir = (nb.ox1 + 1) * 9 + (nb.ox2 + 1) * 3 + nb.ox3 + 1;
             order.emplace_back(
@@ -301,16 +309,21 @@ BoundaryBufferCache::remoteChannelCount() const
 }
 
 double
-BoundaryBufferCache::remoteWireBytes() const
+BoundaryBufferCache::remoteWireBytes(int sender_rank) const
 {
     const int ncomp = mesh_->registry().ncompConserved();
+    const auto remote = [sender_rank](const MeshBlock* sender,
+                                      const MeshBlock* receiver) {
+        return sender->rank() != receiver->rank() &&
+               (sender_rank < 0 || sender->rank() == sender_rank);
+    };
     double bytes = 0;
     for (const auto& ch : bounds_)
-        if (ch.sender->rank() != ch.receiver->rank())
+        if (remote(ch.sender, ch.receiver))
             bytes += static_cast<double>(ch.wireCells()) * ncomp *
                      sizeof(double);
     for (const auto& ch : flux_)
-        if (ch.sender->rank() != ch.receiver->rank())
+        if (remote(ch.sender, ch.receiver))
             bytes += static_cast<double>(ch.wireFaces()) * ncomp *
                      sizeof(double);
     return bytes;

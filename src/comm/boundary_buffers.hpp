@@ -7,7 +7,8 @@
  *
  * Channels are enumerated from the receiver's perspective (one channel
  * per neighbor-list entry), mirroring Parthenon's tag map, and stored
- * in canonical key order (see canonicalLess). The cache is rebuilt
+ * in canonical key order (see canonicalLess). A rank-sharded replica
+ * holds only the channels with an owned endpoint. The cache is rebuilt
  * after every mesh restructure and load-balance move; the serial cost
  * the paper highlights in InitializeBufferCache (§VIII-A: key sort,
  * metadata fill) is recorded as model terms.
@@ -112,7 +113,7 @@ canonicalLess(const ChannelId& a, const ChannelId& b)
 }
 
 /**
- * The cache of all channels for the current mesh structure. The
+ * The cache of the channels for the current mesh structure. The
  * BoundaryPlan flattens it into the exchange's buffer table; the
  * driver rebuilds it after every restructure.
  */
@@ -122,9 +123,11 @@ class BoundaryBufferCache
     explicit BoundaryBufferCache(Mesh& mesh);
 
     /**
-     * Rebuild all channels from the mesh (RebuildBufferCache), in
+     * Rebuild the channels from the mesh (RebuildBufferCache), in
      * canonical order: bounds() and flux() are strictly increasing
-     * under canonicalLess.
+     * under canonicalLess. A classic mesh gets every channel; a
+     * rank-sharded replica only those with an owned sender or
+     * receiver, i.e. every channel of the rank pairs it belongs to.
      */
     void rebuild();
 
@@ -143,8 +146,14 @@ class BoundaryBufferCache
     std::int64_t totalWireFacesFor(int rank) const;
     /** Channels whose endpoints live on different ranks. */
     std::size_t remoteChannelCount() const;
-    /** Wire bytes crossing ranks in one exchange (all components). */
-    double remoteWireBytes() const;
+    /**
+     * Wire bytes crossing ranks in one exchange (all components), over
+     * the channels this cache holds (a sharded replica's pairs only).
+     * With `sender_rank` >= 0, only those sent by that rank's blocks
+     * (a replica's own sends), so per-rank values sum to the team's
+     * total.
+     */
+    double remoteWireBytes(int sender_rank = -1) const;
 
     /** Number of cache rebuilds performed (serial-cost driver). */
     std::uint64_t rebuildCount() const { return rebuild_count_; }

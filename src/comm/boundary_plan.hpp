@@ -4,7 +4,8 @@
  * for the current mesh structure.
  *
  * The plan flattens every per-face BoundsChannel/FluxChannel of the
- * BoundaryBufferCache into row tables, split by where the two ends of
+ * BoundaryBufferCache (on a rank shard: the channels of its own rank
+ * pairs) into row tables, split by where the two ends of
  * an entry live:
  *
  *  - Cross-rank entries (sender and receiver owned by different
@@ -38,11 +39,13 @@
  * message is elided, never sent.
  *
  * Ordering contract: a direct row reads its sender's live interior, and
- * no payload snapshot sits in between. So no stage update
- * (WeightedSumData) of a block may start until every direct row that
- * reads that block has run, and no flux divergence may start until
- * every direct flux row that writes its faces has run. The driver's
- * stage graph provides both edges (see buildStageGraph).
+ * no payload snapshot sits in between. So no stage update of a block
+ * (WeightedSumData, or the one-task FluxesAndUpdate of a block outside
+ * flux correction) may start until every direct row that reads that
+ * block has run, and no update of a flux-correction participant (its
+ * fused divergence reads its corrected faces) may start until every
+ * direct flux row that writes its faces has run. The driver's stage
+ * graph provides both edges (see buildStageGraph).
  *
  * Model terms: a PlanDirect keeps the modeled size of the self-pair
  * message its rows replace (doubles, bytes, wire units, kernel items),

@@ -318,8 +318,11 @@ Experiment::runAttempt(FaultInjector* injector,
         artifacts.zoneCycles = team.zoneCycles();
         artifacts.commCells = team.commCells();
         artifacts.kokkosBytes = tracker.currentBytes();
-        artifacts.remoteWireBytes =
-            driver0.bufferCache().remoteWireBytes();
+        // Each replica's cache holds only its own rank pairs: sum the
+        // sender-side shares.
+        for (int r = 0; r < team.numRanks(); ++r)
+            artifacts.remoteWireBytes +=
+                team.driver(r).bufferCache().remoteWireBytes(r);
         artifacts.remoteMsgsPerCycle =
             driver0.cycle() > 0
                 ? static_cast<double>(

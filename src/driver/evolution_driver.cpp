@@ -103,7 +103,7 @@ EvolutionDriver::initialize()
         cache_.rebuild();
     }
 
-    loadBalance(*mesh_, *world_, lbOptions());
+    initial_lb_ = loadBalance(*mesh_, *world_, lbOptions());
     cache_.rebuild();
     exchange_.exchangeBounds();
     exchange_.applyPhysicalBoundaries();
@@ -222,11 +222,11 @@ EvolutionDriver::initializeFromCheckpoint(const CheckpointImage& image)
     cycle_ = image.cycle;
     time_ = image.time;
 
-    // Re-shard through the PR-5 migration path: the partitioner's
-    // greedy Z-prefix split depends only on the (replicated) Z-ordered
-    // block list, so any rank count lands on its deterministic
-    // decomposition and real storage migrates onto the new owners.
-    loadBalance(*mesh_, *world_, lbOptions());
+    // Re-shard through the migration path: the partitioner's greedy
+    // Z-prefix split depends only on the (replicated) Z-ordered block
+    // list, so any rank count lands on its deterministic decomposition
+    // and real storage migrates onto the new owners.
+    initial_lb_ = loadBalance(*mesh_, *world_, lbOptions());
     cache_.rebuild();
     // No ghost exchange or fillDerived: the serialized state carries
     // ghosts and derived fields, so memory now matches the
@@ -687,22 +687,27 @@ EvolutionDriver::addFusedFluxCorrTasks(TaskList& tl,
  * every worker of the rank can pick up, and a serial end step; one poll
  * runs per inbound coalesced message. Same-rank entries run as
  * kFusedPartitions direct-row tasks (`:local:part<p>`) that gate the
- * set's end step. The interior is a per-block chain (fluxes ->
- * divergence -> update). Tasks for distinct blocks touch only their
- * own block's data and the partitions write disjoint rows, which is
- * what makes threaded execution bitwise identical to the serial scan.
- * Per-block receive/compute overlap on the boundary side is traded for
- * one message per phase per rank pair; the interior stays one task per
- * block, the engine's only interior path (a fused launch over all
- * blocks measured 0.86-0.98x of this graph).
+ * set's end step. Tasks for distinct blocks touch only their own
+ * block's data and the partitions write disjoint rows, which is what
+ * makes threaded execution bitwise identical to the serial scan.
+ *
+ * The interior has two task shapes, both ending in the fused stage
+ * update (divergence, source and weighted sum in one row pass):
+ *  - a flux-correction participant runs `CalculateFluxes:<gid>` into
+ *    its own flux arrays, then the fused correction phase (which waits
+ *    on participants' flux tasks only), then `WeightedSumData:<gid>`;
+ *  - every other block runs one `FluxesAndUpdate:<gid>` task: fluxes
+ *    into the worker's scratch, then the update. On a single-level
+ *    mesh every block takes this shape.
  *
  * Ordering contract: a direct row reads its sender's live interior
  * (bounds) or fine face fluxes (flux), with no payload snapshot in
- * between. Every WeightedSumData therefore trails every bounds direct
- * row through update <- divergence <- fluxes (or flux apply end) <-
- * set end <- direct rows, and every FluxDivergence trails every flux
- * direct row through the apply end. Any finer-grained dependency must
- * keep both edges; test_interior_path checks them on a sharded graph.
+ * between. Every update (`WeightedSumData` or `FluxesAndUpdate`)
+ * therefore trails every bounds direct row through its flux task (or
+ * itself) <- set end <- direct rows, and every `WeightedSumData`, which
+ * now holds the divergence, trails every flux direct row through the
+ * apply end. Any finer-grained dependency must keep both edges;
+ * test_interior_path checks them on a sharded graph.
  */
 TaskList
 EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
@@ -715,48 +720,62 @@ EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
     TaskList tl;
     tl.setLabel("plan:bounds+flux stage " + std::to_string(stage));
     const FusedBoundsIds bounds = addFusedBoundsTasks(tl);
+    const RowSource* source = package_->rowSource();
 
-    const std::vector<MeshBlock*>& owned = mesh_->ownedBlocks();
+    // The update rewrites the interior that the cross-rank send's
+    // partitions and the direct rows read: the set's end step trails
+    // both (it waits on the send and on every direct row), and every
+    // update trails the set's end.
+    std::vector<MeshBlock*> participants;
     std::vector<TaskId> flux_tasks;
-    flux_tasks.reserve(owned.size());
-    for (MeshBlock* block : owned) {
-        flux_tasks.push_back(tl.addTask(
-            "CalculateFluxes:" + std::to_string(block->gid()),
-            [this, block] {
-                package_->calculateFluxesBlock(*mesh_, *block);
-                return TaskStatus::Complete;
-            },
-            {bounds.set}));
-    }
-
-    // The fused correction gates every divergence: corrections only
-    // flow once all fluxes exist.
-    TaskId t_fapply = -1;
-    if (flux_correction)
-        t_fapply = addFusedFluxCorrTasks(tl, flux_tasks);
-
-    for (std::size_t b = 0; b < owned.size(); ++b) {
-        MeshBlock* block = owned[b];
+    for (MeshBlock* block : mesh_->ownedBlocks()) {
         const std::string gid = std::to_string(block->gid());
-        const TaskId t_div = tl.addTask(
-            "FluxDivergence:" + gid,
-            [this, block] {
-                package_->fluxDivergenceBlock(*mesh_, *block);
-                return TaskStatus::Complete;
-            },
-            {flux_correction ? t_fapply : flux_tasks[b]});
-        // The update rewrites the interior that the cross-rank send's
-        // partitions and the direct rows read: it trails the send's
-        // end step explicitly, and every direct row through t_div
-        // (divergence <- fluxes <- set end <- direct rows).
+        if (flux_correction && block->fluxCorrection()) {
+            participants.push_back(block);
+            flux_tasks.push_back(tl.addTask(
+                "CalculateFluxes:" + gid,
+                [this, block] {
+                    package_->calculateFluxesBlock(*mesh_, *block,
+                                                   block->fluxes());
+                    return TaskStatus::Complete;
+                },
+                {bounds.set}));
+            continue;
+        }
         tl.addTask(
-            "WeightedSumData:" + gid,
-            [this, block, stage] {
-                stageUpdateBlock(*mesh_, *block, stage, dt_);
+            "FluxesAndUpdate:" + gid,
+            [this, block, stage, source] {
+                FaceFluxes& flux =
+                    workerFaceFluxes(mesh_->config().blockShape(),
+                                     mesh_->registry().ncompConserved());
+                {
+                    TraceSpan fluxes("CalculateFluxes", TraceCat::Compute,
+                                     block->rank(), cycle_);
+                    package_->calculateFluxesBlock(*mesh_, *block, flux);
+                }
+                stageUpdateBlock(*mesh_, *block, flux, stage, dt_, source);
                 return TaskStatus::Complete;
             },
-            {t_div, bounds.send});
+            {bounds.set});
     }
+    if (!flux_correction)
+        return tl;
+
+    // Corrections flow once every participant's fluxes exist. A rank
+    // with no participant has no flux rows, but still runs the phase
+    // (its records and accounting are per stage), after the set.
+    if (flux_tasks.empty())
+        flux_tasks.push_back(bounds.set);
+    const TaskId t_fapply = addFusedFluxCorrTasks(tl, flux_tasks);
+    for (MeshBlock* block : participants)
+        tl.addTask(
+            "WeightedSumData:" + std::to_string(block->gid()),
+            [this, block, stage, source] {
+                stageUpdateBlock(*mesh_, *block, block->fluxes(), stage,
+                                 dt_, source);
+                return TaskStatus::Complete;
+            },
+            {t_fapply});
     return tl;
 }
 

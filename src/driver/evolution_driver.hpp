@@ -246,6 +246,16 @@ class EvolutionDriver
 
     const std::vector<CycleStats>& history() const { return history_; }
 
+    /**
+     * The load balance that closes initialize() (or a checkpoint
+     * restore's re-shard). On a sharded single-level mesh it moves
+     * nothing: blocks are born on their owners.
+     */
+    const LoadBalanceStats& initialLoadBalance() const
+    {
+        return initial_lb_;
+    }
+
     BoundaryBufferCache& bufferCache() { return cache_; }
     GhostExchange& exchange() { return exchange_; }
 
@@ -364,6 +374,7 @@ class EvolutionDriver
     int last_derefined_ = 0;
     int last_moved_ = 0;
     double last_migrated_bytes_ = 0;
+    LoadBalanceStats initial_lb_;
     int last_lb_decision_ = 0;
     double last_lb_imbalance_ = 0;
     double last_lb_max_cost_ = 0;

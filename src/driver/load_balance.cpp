@@ -93,27 +93,10 @@ loadBalance(Mesh& mesh, RankWorld& world,
     double total_cost = 0;
     for (double cost : cost_of)
         total_cost += cost;
-    const double target = total_cost / nranks;
 
-    // Greedy prefix partition over the Z-ordered list: rank r takes
-    // blocks until the running cost passes (r+1) * target, but never
-    // starves trailing ranks of remaining blocks. Inputs are gathered
-    // (identical on every replica), so the partition is too.
-    std::vector<int> new_rank(blocks.size(), 0);
-    double cum = 0;
-    int rank = 0;
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        const std::size_t remaining = blocks.size() - b;
-        const int ranks_left = nranks - rank;
-        if (static_cast<std::size_t>(ranks_left) >= remaining) {
-            // One block per remaining rank.
-            rank = nranks - static_cast<int>(remaining);
-        }
-        new_rank[b] = rank;
-        cum += cost_of[b];
-        if (cum >= target * (rank + 1) && rank + 1 < nranks)
-            ++rank;
-    }
+    // Inputs are gathered (identical on every replica), so the
+    // partition is too.
+    const std::vector<int> new_rank = zPrefixPartition(cost_of, nranks);
 
     // Price the proposal before moving any storage: per-rank cost
     // under the proposed partition vs. the current assignment.

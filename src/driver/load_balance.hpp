@@ -6,7 +6,10 @@
  * Parthenon assigns contiguous runs of the Z-ordered block list to
  * ranks so per-rank cost is balanced; blocks whose rank changes are
  * shipped over MPI using the ghost-exchange machinery. We reproduce
- * the same greedy prefix partition. On the classic (modeled) path the
+ * the same greedy prefix partition (zPrefixPartition, which a sharded
+ * Mesh also uses to place base blocks on their owners at birth, so
+ * the first balance of a single-level mesh moves nothing). On the
+ * classic (modeled) path the
  * shipped bytes are accounted only; on the rank-sharded path the move
  * is real — the source rank serializes the block's state through a
  * RankWorld mailbox, the destination rank materializes storage from

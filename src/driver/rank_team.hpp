@@ -129,6 +129,10 @@ class RankTeam
     {
         return states_.at(rank)->profiler;
     }
+    const MemoryTracker& tracker(int rank) const
+    {
+        return states_.at(rank)->tracker;
+    }
 
     /**
      * The block at `loc` on its owner's replica (the copy that holds

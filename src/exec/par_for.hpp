@@ -24,6 +24,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string_view>
@@ -162,6 +163,29 @@ parForExecRows(const ExecContext& ctx, int kl, int ku, int jl, int ju,
             }
         },
         &launch);
+}
+
+/**
+ * The calling thread's per-chunk scratch for a parForExecRows launch:
+ * `per_chunk` doubles per execution-space chunk, which the row body
+ * indexes by its chunk id. Grow-only, so steady state allocates
+ * nothing; valid until the thread's next call. Concurrent per-block
+ * tasks each run on their own thread and so get their own buffer;
+ * chunks of a top-level launch index disjoint slices of the launching
+ * thread's buffer, which outlives the synchronous launch. Returned as
+ * a plain pointer: thread_locals are not captured by lambdas, so a
+ * pool worker running a chunk would otherwise resolve the buffer to
+ * its own (unsized) instance.
+ */
+inline double*
+chunkScratch(const ExecContext& ctx, std::size_t per_chunk)
+{
+    static thread_local std::vector<double> scratch;
+    const std::size_t need =
+        static_cast<std::size_t>(ctx.space().concurrency()) * per_chunk;
+    if (scratch.size() < need)
+        scratch.resize(need);
+    return scratch.data();
 }
 
 /**

@@ -6,14 +6,17 @@
  * needs: the block-tree leaf set (logical locations in Z/gid order),
  * cycle and time, per-block creation cycles, and every block's
  * conserved + derived arrays (ghosts included) via the same
- * MeshBlock::serializeState payload block migration uses. Scratch
- * (cons0/dudt/flux/recon) is rebuilt every stage and never travels;
+ * MeshBlock::serializeState payload block migration uses. The
+ * step-start copy cons0 and a flux-correction participant's face
+ * fluxes are rewritten every step and never travel (the stage update
+ * keeps no dudt, and the reconstruction bytes are a model term with
+ * no storage);
  * dt is re-estimated at the top of every cycle; the taggers are
  * stateless given (time, cycle) — so the image is closed under restart
  * and RNG-free at checkpoint boundaries.
  *
  * Rank ownership is deliberately NOT captured: restore re-shards the
- * blocks through the PR-5 ownership/materialize/migration path, which
+ * blocks through the ownership/materialize/migration path, which
  * is what lets a snapshot written at R ranks resume at any rank or
  * thread count. Per-rank shard sections are gathered through the
  * RankWorld collectives in gid order, so the encoded bytes are

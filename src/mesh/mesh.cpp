@@ -1,6 +1,7 @@
 #include "mesh/mesh.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "exec/memory_tracker.hpp"
 #include "exec/par_for.hpp"
@@ -100,6 +101,33 @@ MeshConfig::blockShape() const
     return shape;
 }
 
+std::vector<int>
+zPrefixPartition(const std::vector<double>& costs, int nranks)
+{
+    const std::size_t n = costs.size();
+    double total_cost = 0;
+    for (double cost : costs)
+        total_cost += cost;
+    const double target = total_cost / nranks;
+
+    std::vector<int> owner(n, 0);
+    double cum = 0;
+    int rank = 0;
+    for (std::size_t b = 0; b < n; ++b) {
+        const std::size_t remaining = n - b;
+        const int ranks_left = nranks - rank;
+        if (static_cast<std::size_t>(ranks_left) >= remaining) {
+            // One block per remaining rank.
+            rank = nranks - static_cast<int>(remaining);
+        }
+        owner[b] = rank;
+        cum += costs[b];
+        if (cum >= target * (rank + 1) && rank + 1 < nranks)
+            ++rank;
+    }
+    return owner;
+}
+
 Mesh::Mesh(const MeshConfig& config, const VariableRegistry& registry,
            const ExecContext& ctx, int shard_rank)
     : config_(config), registry_(&registry), ctx_(&ctx),
@@ -141,10 +169,21 @@ Mesh::Mesh(const MeshConfig& config, const VariableRegistry& registry,
 
     for (const auto& loc : tree_.leavesZOrder())
         blocks_.push_back(makeBlock(loc));
-    // Sharded replicas create Shadow blocks; every block starts on
-    // rank 0 (the classic initial assignment), so replica 0 now
-    // materializes the whole base grid and the first load balance
-    // migrates the shards onto their owners.
+    if (sharded()) {
+        // Born on the owner: the split the first load balance computes
+        // from the blocks' initial (uniform) costs, over the same
+        // Z-ordered list, so each replica materializes only its own
+        // shard and a single-level start migrates nothing. A classic
+        // mesh keeps every block on rank 0.
+        std::vector<double> costs;
+        costs.reserve(blocks_.size());
+        for (const auto& block : blocks_)
+            costs.push_back(block->cost());
+        const std::vector<int> owner =
+            zPrefixPartition(costs, config_.numRanks);
+        for (std::size_t b = 0; b < blocks_.size(); ++b)
+            blocks_[b]->setRank(owner[b]);
+    }
     for (const auto& block : blocks_)
         realizeBlock(*block);
     renumber();
@@ -372,13 +411,23 @@ Mesh::rebuildNeighbors()
         const auto tree_neighbors = tree_.neighbors(loc);
         auto& list = neighbor_lists_[gid];
         list.reserve(tree_neighbors.size());
+        // A face neighbor on another level makes both blocks flux-
+        // correction participants (the buffer cache's flux channels).
+        bool participant = false;
         for (const auto& info : tree_neighbors) {
             auto it = loc_to_gid_.find(info.loc);
             if (it == loc_to_gid_.end())
                 panic("neighbor leaf has no block: ", info.loc.str());
+            const int level_diff = info.loc.level - loc.level;
             list.push_back({blocks_[it->second].get(), info.ox1, info.ox2,
-                            info.ox3, info.loc.level - loc.level});
+                            info.ox3, level_diff});
+            participant = participant ||
+                          (level_diff != 0 &&
+                           std::abs(info.ox1) + std::abs(info.ox2) +
+                                   std::abs(info.ox3) ==
+                               1);
         }
+        blocks_[gid]->setFluxCorrection(participant);
         links += list.size();
     }
     // SetMeshBlockNeighbors serial cost: one item per link.

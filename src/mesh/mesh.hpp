@@ -87,6 +87,17 @@ struct MeshConfig
     std::int64_t nbx3() const { return ndim >= 3 ? nx3 / blockNx3 : 1; }
 };
 
+/**
+ * Greedy Z-order prefix partition (§II-E): walking blocks in gid order,
+ * rank r takes blocks until the running cost passes (r + 1) x the mean
+ * rank cost, but never starves trailing ranks of remaining blocks.
+ * Returns each block's rank. Deterministic in its inputs, so replicas
+ * with the same costs compute the same split; the load balancer and a
+ * sharded Mesh's initial assignment both call it.
+ */
+std::vector<int> zPrefixPartition(const std::vector<double>& costs,
+                                  int nranks);
+
 /** A neighbor entry in a block's neighbor list. */
 struct NeighborBlock
 {
@@ -111,9 +122,12 @@ class Mesh
      *        -1 (the default) for the classic single-address-space
      *        mesh. A sharded replica holds the full replicated block
      *        *structure* but materializes storage only for blocks it
-     *        owns; every other block is a Shadow. All blocks start on
-     *        rank 0 (as in the classic path); the first load balance
-     *        migrates real storage onto its owners.
+     *        owns; every other block is a Shadow. Base blocks are born
+     *        on the owner the first load balance would pick (the
+     *        uniform-cost zPrefixPartition), so no replica ever holds
+     *        another rank's shard. A classic mesh starts every block
+     *        on rank 0, so its first load balance still models
+     *        Parthenon's initial redistribution.
      */
     Mesh(const MeshConfig& config, const VariableRegistry& registry,
          const ExecContext& ctx, int shard_rank = -1);
@@ -229,7 +243,9 @@ class Mesh
 
     /**
      * Rebuild all neighbor lists from the tree
-     * (SetMeshBlockNeighbors); counted as serial work.
+     * (SetMeshBlockNeighbors); counted as serial work. Also sets each
+     * block's flux-correction role (a face neighbor on another level),
+     * which acquires or releases its flux arrays.
      */
     void rebuildNeighbors();
 

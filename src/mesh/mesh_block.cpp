@@ -6,6 +6,23 @@
 
 namespace vibe {
 
+FaceFluxes&
+workerFaceFluxes(const BlockShape& shape, int ncomp)
+{
+    static thread_local FaceFluxes flux;
+    const int ni = shape.ni(), nj = shape.nj(), nk = shape.nk();
+    const RealArray4& fx = flux[0];
+    if (fx.nvar() != ncomp || fx.nk() != nk || fx.nj() != nj ||
+        fx.ni() != ni + 1) {
+        flux[0] = RealArray4(ncomp, nk, nj, ni + 1);
+        flux[1] = shape.ndim >= 2 ? RealArray4(ncomp, nk, nj + 1, ni)
+                                  : RealArray4();
+        flux[2] = shape.ndim >= 3 ? RealArray4(ncomp, nk + 1, nj, ni)
+                                  : RealArray4();
+    }
+    return flux;
+}
+
 MeshBlock::MeshBlock(const LogicalLocation& loc, const BlockShape& shape,
                      const BlockGeometry& geom,
                      const VariableRegistry& registry,
@@ -56,15 +73,66 @@ MeshBlock::releaseAll()
     if (pool_ && mode_ == DataMode::Real) {
         pool_->release(cons_.releaseStorage());
         pool_->release(cons0_.releaseStorage());
-        pool_->release(dudt_.releaseStorage());
         pool_->release(derived_.releaseStorage());
-        for (int d = 0; d < 3; ++d)
-            pool_->release(flux_[d].releaseStorage());
     }
+    if (mode_ == DataMode::Real)
+        releaseFluxes();
     if (tracker_)
         for (const auto& [label, bytes] : registered_)
             tracker_->deallocate(label, bytes);
     registered_.clear();
+}
+
+RealArray4
+MeshBlock::makeArray(int nvar, int dk, int dj, int di, bool zero)
+{
+    const int nk = shape_.nk() + dk;
+    const int nj = shape_.nj() + dj;
+    const int ni = shape_.ni() + di;
+    if (pool_)
+        return RealArray4(nvar, nk, nj, ni,
+                          pool_->acquire(static_cast<std::size_t>(nvar) *
+                                         nk * nj * ni),
+                          zero);
+    return RealArray4(nvar, nk, nj, ni);
+}
+
+void
+MeshBlock::acquireFluxes()
+{
+    // Every flux is written before it is read, so a recycled buffer
+    // skips the clearing pass.
+    const int ncons = registry_->ncompConserved();
+    flux_[0] = makeArray(ncons, 0, 0, 1, false);
+    if (shape_.ndim >= 2)
+        flux_[1] = makeArray(ncons, 0, 1, 0, false);
+    if (shape_.ndim >= 3)
+        flux_[2] = makeArray(ncons, 1, 0, 0, false);
+}
+
+void
+MeshBlock::releaseFluxes()
+{
+    for (RealArray4& flux : flux_) {
+        if (pool_)
+            pool_->release(flux.releaseStorage());
+        else
+            flux = RealArray4();
+    }
+}
+
+void
+MeshBlock::setFluxCorrection(bool participant)
+{
+    if (participant == flux_correction_)
+        return;
+    flux_correction_ = participant;
+    if (mode_ != DataMode::Real)
+        return;
+    if (participant)
+        acquireFluxes();
+    else
+        releaseFluxes();
 }
 
 void
@@ -90,10 +158,7 @@ MeshBlock::dematerialize()
         // their extents cleared so any stale view faults loudly.
         cons_ = RealArray4();
         cons0_ = RealArray4();
-        dudt_ = RealArray4();
         derived_ = RealArray4();
-        for (int d = 0; d < 3; ++d)
-            flux_[d] = RealArray4();
     }
     mode_ = DataMode::Shadow;
 }
@@ -164,34 +229,20 @@ MeshBlock::allocateAll(const ExecContext& ctx)
     };
 
     if (mode_ == DataMode::Real) {
-        // Pooled path: recycled storage, and buffers whose every cell
-        // is written before it is read (fluxes, dudt)
-        // skip the clearing pass — state-carrying arrays are zeroed in
-        // a single assign, so results are bit-identical to the
-        // allocate-and-zero path.
-        const auto make = [&](int nvar, int dk, int dj, int di,
-                              bool zero) {
-            if (pool_) {
-                const std::size_t count = static_cast<std::size_t>(
-                                              nvar) *
-                                          (nk + dk) * (nj + dj) *
-                                          (ni + di);
-                return RealArray4(nvar, nk + dk, nj + dj, ni + di,
-                                  pool_->acquire(count), zero);
-            }
-            return RealArray4(nvar, nk + dk, nj + dj, ni + di);
-        };
-        cons_ = make(ncons, 0, 0, 0, true);
-        cons0_ = make(ncons, 0, 0, 0, true);
-        dudt_ = make(ncons, 0, 0, 0, false);
-        derived_ = make(nder, 0, 0, 0, true);
-        flux_[0] = make(ncons, 0, 0, 1, false);
-        if (shape_.ndim >= 2)
-            flux_[1] = make(ncons, 0, 1, 0, false);
-        if (shape_.ndim >= 3)
-            flux_[2] = make(ncons, 1, 0, 0, false);
+        // State-carrying arrays are zeroed in a single assign, so a
+        // recycled buffer is bit-identical to a fresh one. Only a
+        // flux-correction participant stores fluxes.
+        cons_ = makeArray(ncons, 0, 0, 0, true);
+        cons0_ = makeArray(ncons, 0, 0, 0, true);
+        derived_ = makeArray(nder, 0, 0, 0, true);
+        if (flux_correction_)
+            acquireFluxes();
     }
 
+    // The Kokkos footprint the paper counts: every block holds a dudt
+    // register and three flux arrays there. Here they are model terms:
+    // the update fuses the divergence row by row, and fluxes live in
+    // worker scratch unless the block takes part in flux correction.
     registerAllocation(ctx, "mesh/cons", cell_bytes(ncons, 0, 0, 0));
     registerAllocation(ctx, "mesh/cons0", cell_bytes(ncons, 0, 0, 0));
     registerAllocation(ctx, "mesh/dudt", cell_bytes(ncons, 0, 0, 0));

@@ -5,14 +5,19 @@
  * (paper §II-F).
  *
  * Every block carries `num_ghost` ghost-cell layers per active dimension
- * (4 for WENO5), packed conserved variables, a step-start copy for RK2,
- * face fluxes and derived fields. The full-block face-reconstruction
- * scratch whose footprint the paper's §VIII-B optimization targets is
- * a registered model term only: no kernel needs it, so no storage
- * backs it.
+ * (4 for WENO5), packed conserved variables, a step-start copy for RK2
+ * and derived fields. Face fluxes are stored on the block only while it
+ * takes part in flux correction (it has a face neighbor on another
+ * level); every other block's fluxes live in per-worker scratch for the
+ * span of one stage task. The stage's flux divergence is fused into the
+ * RK update row by row, so no block holds a dudt array either. The
+ * dudt, flux and full-block face-reconstruction bytes the paper's
+ * Kokkos footprint counts (§VIII-B) stay registered model terms with no
+ * storage behind them.
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -37,6 +42,14 @@ class BlockMemoryPool;
  * direct cross-rank memory access structurally impossible).
  */
 enum class DataMode { Real, Virtual, Shadow };
+
+/**
+ * The face fluxes of one block's stage, one staggered array per
+ * direction: flux[0] has ni + 1 faces per row, flux[1] nj + 1 rows,
+ * flux[2] nk + 1 planes. Either a flux-correction participant's own
+ * arrays (MeshBlock::fluxes) or a worker's scratch.
+ */
+using FaceFluxes = std::array<RealArray4, 3>;
 
 /** Physical extent and cell widths of one block. */
 struct BlockGeometry
@@ -86,6 +99,15 @@ struct BlockShape
 };
 
 /**
+ * The calling thread's face-flux scratch for one block of `shape` with
+ * `ncomp` conserved components: a block that takes no part in flux
+ * correction computes its stage fluxes here and consumes them in the
+ * same task. Reallocated only when the shape or component count
+ * changes, so a worker allocates it once per mesh.
+ */
+FaceFluxes& workerFaceFluxes(const BlockShape& shape, int ncomp);
+
+/**
  * One mesh block: structure, ownership and (optionally) data.
  *
  * Blocks are created by the Mesh; user code receives references. In
@@ -109,7 +131,7 @@ class MeshBlock
      * @param pool      Optional storage pool: array backing stores are
      *                  drawn from it and returned on destruction, and
      *                  buffers whose every cell is written before it
-     *                  is read (fluxes, dudt) skip the zero-init pass
+     *                  is read (fluxes) skip the zero-init pass
      *                  entirely. Must outlive the block.
      */
     /**
@@ -179,17 +201,6 @@ class MeshBlock
         auditAccess();
         return cons0_;
     }
-    /** Flux-divergence accumulator. */
-    RealArray4& dudt()
-    {
-        auditAccess();
-        return dudt_;
-    }
-    const RealArray4& dudt() const
-    {
-        auditAccess();
-        return dudt_;
-    }
     /** Derived variables. */
     RealArray4& derived()
     {
@@ -201,7 +212,10 @@ class MeshBlock
         auditAccess();
         return derived_;
     }
-    /** Face fluxes in direction `d` (0 = x1, 1 = x2, 2 = x3). */
+    /**
+     * Face fluxes in direction `d` (0 = x1, 1 = x2, 2 = x3). Empty
+     * unless the block is a flux-correction participant.
+     */
     RealArray4& flux(int d)
     {
         auditAccess();
@@ -212,6 +226,28 @@ class MeshBlock
         auditAccess();
         return flux_[d];
     }
+    /** All three face-flux arrays (a participant's stage fluxes). */
+    FaceFluxes& fluxes()
+    {
+        auditAccess();
+        return flux_;
+    }
+
+    /**
+     * True while the block sends or receives flux correction (it has a
+     * face neighbor on another level). Only participants store face
+     * fluxes: the correction reads a participant's fluxes after its
+     * flux task, so they must outlive the task.
+     */
+    bool fluxCorrection() const { return flux_correction_; }
+
+    /**
+     * Set the flux-correction role (the Mesh does, whenever neighbor
+     * lists change). A materialized block acquires its flux arrays
+     * from its pool on joining and releases them on leaving; a Shadow
+     * block only records the role for materialize().
+     */
+    void setFluxCorrection(bool participant);
 
     /** Bytes this block accounts for (identical in all data modes). */
     std::size_t dataBytes() const { return data_bytes_; }
@@ -238,8 +274,8 @@ class MeshBlock
      * Serialize the state that must survive a migration — the full
      * conserved and derived arrays, ghosts included — into a flat
      * payload (bitwise copies, so a migrated block is indistinguishable
-     * from one that never moved). Scratch (cons0/dudt/flux) is
-     * rebuilt every stage and does not travel.
+     * from one that never moved). The step-start copy cons0 and a
+     * participant's fluxes are rewritten every step and do not travel.
      */
     std::vector<double> serializeState() const;
 
@@ -257,6 +293,11 @@ class MeshBlock
 
     void allocateAll(const ExecContext& ctx);
     void releaseAll();
+    /** Allocate (pool first) or release this block's flux arrays. */
+    void acquireFluxes();
+    void releaseFluxes();
+    /** One array of `nvar` components, staggered by (dk, dj, di). */
+    RealArray4 makeArray(int nvar, int dk, int dj, int di, bool zero);
     void registerAllocation(const ExecContext& ctx,
                             const std::string& label, std::size_t bytes);
 
@@ -274,9 +315,10 @@ class MeshBlock
     double cost_ = 1.0;
     std::int64_t created_cycle_ = 0;
     RefinementFlag tag_ = RefinementFlag::None;
+    bool flux_correction_ = false;
 
-    RealArray4 cons_, cons0_, dudt_, derived_;
-    RealArray4 flux_[3];
+    RealArray4 cons_, cons0_, derived_;
+    FaceFluxes flux_;
 
     std::size_t data_bytes_ = 0;
     std::vector<std::pair<std::string, std::size_t>> registered_;

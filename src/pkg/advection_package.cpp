@@ -137,16 +137,11 @@ AdvectionPackage::initializeBlock(const ExecContext& ctx,
 }
 
 void
-AdvectionPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
+AdvectionPackage::calculateFluxesBlock(Mesh& mesh, const MeshBlock& block,
+                                       FaceFluxes& flux) const
 {
     const double vel[3] = {config_.vx, config_.vy, config_.vz};
-    fvUpwindFluxesBlock(mesh, block, config_.recon, vel);
-}
-
-void
-AdvectionPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
-{
-    fvFluxDivergenceBlock(mesh, block);
+    fvUpwindFluxesBlock(mesh, block, flux, config_.recon, vel);
 }
 
 void

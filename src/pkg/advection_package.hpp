@@ -103,10 +103,8 @@ class AdvectionPackage : public PackageDescriptor
      * Reconstruction + exact upwind fluxes for one block (kernel
      * "CalculateFluxes", task-graph node).
      */
-    void calculateFluxesBlock(Mesh& mesh,
-                              MeshBlock& block) const override;
-
-    void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
+    void calculateFluxesBlock(Mesh& mesh, const MeshBlock& block,
+                              FaceFluxes& flux) const override;
 
     /** e = 0.5 phi^2 (kernel "CalculateDerived"). */
     void fillDerived(Mesh& mesh) const override;

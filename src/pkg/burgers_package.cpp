@@ -37,29 +37,6 @@ hllFluxRow(const RealArray4& cons, RealArray4& flux, ReconMethod recon,
               componentStride(flux));
 }
 
-/**
- * Per-chunk pencil scratch for one flux launch: one 2 * ncomp * nface
- * slice per execution-space chunk, sized once at launch setup
- * (grow-only, so steady state allocates nothing); the row body indexes
- * it by chunk id. Concurrent per-block flux tasks each run on their
- * own thread and so get their own buffer; chunks of a top-level launch
- * index disjoint slices of the launching thread's buffer, which
- * outlives the synchronous launch. Returned as a plain pointer:
- * thread_locals are not captured by lambdas, so a pool worker running
- * a chunk would otherwise resolve the buffer to its own (unsized)
- * instance.
- */
-double*
-pencilScratch(const ExecContext& ctx, std::size_t per_chunk)
-{
-    static thread_local std::vector<double> scratch;
-    const std::size_t need =
-        static_cast<std::size_t>(ctx.space().concurrency()) * per_chunk;
-    if (scratch.size() < need)
-        scratch.resize(need);
-    return scratch.data();
-}
-
 /** Per-cell costs of the Burgers CalculateFluxes kernel. */
 KernelCosts
 hllFluxCosts(ReconMethod recon, int ndim, int ncomp)
@@ -194,7 +171,8 @@ BurgersPackage::initializeBlock(const ExecContext& ctx, MeshBlock& block,
 }
 
 void
-BurgersPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
+BurgersPackage::calculateFluxesBlock(Mesh& mesh, const MeshBlock& block,
+                                     FaceFluxes& flux) const
 {
     const ExecContext& ctx = mesh.ctx();
     const BlockShape s = mesh.config().blockShape();
@@ -210,26 +188,20 @@ BurgersPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
     // The widest pencil is the x sweep's nx1 + 1 faces.
     const std::size_t per_chunk =
         2 * static_cast<std::size_t>(ncomp) * (s.nx1 + 1);
-    double* const scratch_base = pencilScratch(ctx, per_chunk);
+    double* const scratch_base = chunkScratch(ctx, per_chunk);
     const RealArray4& cons = block.cons();
     for (int d = 0; d < s.ndim; ++d) {
-        RealArray4& flux = block.flux(d);
+        RealArray4& flux_d = flux[static_cast<std::size_t>(d)];
         // Interior faces of dim d, interior cells in transverse dims.
         const int fis = s.is(), fie = s.ie() + (d == 0);
         const int fjs = s.js(), fje = s.je() + (d == 1);
         const int fks = s.ks(), fke = s.ke() + (d == 2);
         parForExecRows(
             ctx, fks, fke, fjs, fje, [&](int chunk, int k, int j) {
-                hllFluxRow(cons, flux, config_.recon, d, ncomp, k, j, fis,
-                           fie, scratch_base + chunk * per_chunk);
+                hllFluxRow(cons, flux_d, config_.recon, d, ncomp, k, j,
+                           fis, fie, scratch_base + chunk * per_chunk);
             });
     }
-}
-
-void
-BurgersPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
-{
-    fvFluxDivergenceBlock(mesh, block);
 }
 
 void

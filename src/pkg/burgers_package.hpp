@@ -102,11 +102,8 @@ class BurgersPackage : public PackageDescriptor
      * direction, each row reconstructed and solved in per-chunk pencil
      * scratch. Reads only the block's own data.
      */
-    void calculateFluxesBlock(Mesh& mesh,
-                              MeshBlock& block) const override;
-
-    /** Flux divergence for one block (kernel "FluxDivergence"). */
-    void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
+    void calculateFluxesBlock(Mesh& mesh, const MeshBlock& block,
+                              FaceFluxes& flux) const override;
 
     /** d = 0.5 q0 u.u (kernel "CalculateDerived"). */
     void fillDerived(Mesh& mesh) const override;

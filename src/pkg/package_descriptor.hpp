@@ -35,6 +35,7 @@
 
 #include "comm/rank_world.hpp"
 #include "mesh/mesh.hpp"
+#include "solver/rk2.hpp"
 
 namespace vibe {
 
@@ -89,17 +90,22 @@ class PackageDescriptor
                                  MeshBlock& block) const = 0;
 
     /**
-     * Reconstruction + fluxes for one block (task-graph node). Reads
-     * only the block's own data; face states live in per-chunk pencil
-     * scratch, never in block arrays, so flux tasks of distinct blocks
-     * may always run concurrently.
+     * Reconstruction + fluxes for one block into `flux` (the block's
+     * own arrays on a flux-correction participant, a worker's scratch
+     * otherwise), every interior face written. Reads only the block's
+     * own data; face states live in per-chunk pencil scratch, never in
+     * block arrays, so flux tasks of distinct blocks may always run
+     * concurrently.
      */
-    virtual void calculateFluxesBlock(Mesh& mesh,
-                                      MeshBlock& block) const = 0;
+    virtual void calculateFluxesBlock(Mesh& mesh, const MeshBlock& block,
+                                      FaceFluxes& flux) const = 0;
 
-    /** Flux divergence for one block (task-graph node). */
-    virtual void fluxDivergenceBlock(Mesh& mesh,
-                                     MeshBlock& block) const = 0;
+    /**
+     * Local source term S(u), added per row by the fused stage update
+     * (solver/rk2.hpp), or null for a package without one. The flux
+     * divergence itself is PDE-agnostic and belongs to the update.
+     */
+    virtual const RowSource* rowSource() const { return nullptr; }
 
     /** Recompute Derived fields from conserved state. */
     virtual void fillDerived(Mesh& mesh) const = 0;

@@ -78,25 +78,6 @@ equilibriumValue(const ReactionConfig& config, double a, int* iters_out)
 }
 
 /**
- * Stiff source for one (k, j) row of interior cells: T = rate *
- * (a - c_eq(a)) moves reservoir into product; antisymmetric, so each
- * cell conserves a + b exactly. Pure function of local state — no
- * cross-cell accumulation — so any loop chunking is bitwise identical.
- */
-inline void
-sourceRow(const ReactionConfig& config, const RealArray4& cons,
-          RealArray4& dudt, int k, int j, int is, int ie)
-{
-    for (int i = is; i <= ie; ++i) {
-        const double a = cons(0, k, j, i);
-        const double transfer =
-            config.rate * (a - equilibriumValue(config, a, nullptr));
-        dudt(0, k, j, i) -= transfer;
-        dudt(1, k, j, i) += transfer;
-    }
-}
-
-/**
  * Nominal per-cell source cost for counting mode: the real iteration
  * count is state-dependent (that is the point), so the model charges
  * a representative mid-range count.
@@ -191,33 +172,41 @@ ReactionPackage::initializeBlock(const ExecContext& ctx,
 }
 
 void
-ReactionPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
+ReactionPackage::calculateFluxesBlock(Mesh& mesh, const MeshBlock& block,
+                                      FaceFluxes& flux) const
 {
     const double vel[3] = {config_.vx, config_.vy, config_.vz};
-    fvUpwindFluxesBlock(mesh, block, config_.recon, vel);
+    fvUpwindFluxesBlock(mesh, block, flux, config_.recon, vel);
 }
 
 void
-ReactionPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
+ReactionPackage::recordBlock(const ExecContext& ctx,
+                             const MeshBlock& block) const
 {
-    fvFluxDivergenceBlock(mesh, block);
-
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    recordKernelAt(ctx, "FluxDivergence", block.rank(),
-                   "ReactionSource",
+    const BlockShape& s = block.shape();
+    recordKernelAt(ctx, "FluxDivergence", block.rank(), "ReactionSource",
                    static_cast<double>(s.interiorCells()), kSourceCosts,
                    static_cast<double>(s.nx1));
-    if (!ctx.executing())
-        return;
+}
 
-    const RealArray4& cons = block.cons();
-    RealArray4& dudt = block.dudt();
-    parForExecRows(ctx, s.ks(), s.ke(), s.js(), s.je(),
-                   [&](int, int k, int j) {
-                       sourceRow(config_, cons, dudt, k, j, s.is(),
-                                 s.ie());
-                   });
+void
+ReactionPackage::addRow(const RealArray4& cons, double* du, int k, int j,
+                        int is, int ie) const
+{
+    // T = rate * (a - c_eq(a)) moves reservoir into product;
+    // antisymmetric, so each cell conserves a + b exactly. A pure
+    // function of the cell's own state, so any loop chunking is
+    // bitwise identical.
+    const int ncell = ie - is + 1;
+    double* da = du;
+    double* db = du + ncell;
+    for (int i = 0; i < ncell; ++i) {
+        const double a = cons(0, k, j, is + i);
+        const double transfer =
+            config_.rate * (a - equilibriumValue(config_, a, nullptr));
+        da[i] -= transfer;
+        db[i] += transfer;
+    }
 }
 
 void

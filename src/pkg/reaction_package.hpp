@@ -79,7 +79,7 @@ struct ReactionConfig
 VariableRegistry makeReactionRegistry();
 
 /** Stateless operator collection over a Mesh (configuration only). */
-class ReactionPackage : public PackageDescriptor
+class ReactionPackage : public PackageDescriptor, private RowSource
 {
   public:
     explicit ReactionPackage(const ReactionConfig& config)
@@ -108,17 +108,16 @@ class ReactionPackage : public PackageDescriptor
                          MeshBlock& block) const override;
 
     /** Reconstruction + exact upwind fluxes (kernel "CalculateFluxes"). */
-    void calculateFluxesBlock(Mesh& mesh,
-                              MeshBlock& block) const override;
+    void calculateFluxesBlock(Mesh& mesh, const MeshBlock& block,
+                              FaceFluxes& flux) const override;
 
     /**
-     * dudt = -div(flux) plus the stiff source (kernels
-     * "FluxDivergence" + "ReactionSource"): the per-cell equilibrium
-     * solve runs here, inside the per-block task, so its wall clock is
-     * attributed to the block — the signal the measured cost model
-     * feeds on.
+     * The stiff source (kernel "ReactionSource"), added per row by the
+     * fused stage update: the per-cell equilibrium solve runs inside
+     * the block's update task, so its wall clock is attributed to the
+     * block — the signal the measured cost model feeds on.
      */
-    void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
+    const RowSource* rowSource() const override { return this; }
 
     /** chem_rate = a * b (kernel "CalculateDerived"). */
     void fillDerived(Mesh& mesh) const override;
@@ -143,6 +142,11 @@ class ReactionPackage : public PackageDescriptor
                             const ExecContext& ctx) const override;
 
   private:
+    void recordBlock(const ExecContext& ctx,
+                     const MeshBlock& block) const override;
+    void addRow(const RealArray4& cons, double* du, int k, int j, int is,
+                int ie) const override;
+
     ReactionConfig config_;
 };
 

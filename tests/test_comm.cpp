@@ -529,10 +529,12 @@ TEST(FluxCorrection, CoarseFaceFluxBecomesFineAverage)
     const BlockShape s = f.mesh->config().blockShape();
     const int ncomp = f.registry.ncompConserved();
 
-    // Give every block a distinctive flux field.
+    // Give every flux-correction participant (the only blocks that
+    // store fluxes) a distinctive flux field.
     for (const auto& block : f.mesh->blocks())
-        for (int d = 0; d < 3; ++d)
-            block->flux(d).fill(block->loc().level == 1 ? 2.0 : 0.5);
+        if (block->fluxCorrection())
+            for (int d = 0; d < 3; ++d)
+                block->flux(d).fill(block->loc().level == 1 ? 2.0 : 0.5);
 
     f.exchange->exchangeFluxCorrections();
 
@@ -622,7 +624,9 @@ TEST(FluxCorrection, ConservationHoldsOnSerialAndThreadPoolSpaces)
         bc.numScalars = 8; // matches the fixture registry
         BurgersPackage package(bc);
         for (MeshBlock* block : f.mesh->ownedBlocks())
-            package.calculateFluxesBlock(*f.mesh, *block);
+            if (block->fluxCorrection())
+                package.calculateFluxesBlock(*f.mesh, *block,
+                                             block->fluxes());
 
         // Regression: abandon a flux-correction send mid-cycle; the
         // next cycle's reset must also drop stale *flux* messages, not
@@ -643,6 +647,9 @@ TEST(FluxCorrection, ConservationHoldsOnSerialAndThreadPoolSpaces)
         const int nfine = 1 << (ndim - 1);
         ASSERT_FALSE(f.cache->flux().empty());
         for (const auto& ch : f.cache->flux()) {
+            ASSERT_TRUE(ch.sender->fluxCorrection() &&
+                        ch.receiver->fluxCorrection())
+                << "flux channel endpoint without flux storage";
             const RealArray4& fine = ch.sender->flux(ch.dir);
             const RealArray4& coarse = ch.receiver->flux(ch.dir);
             for (int n = 0; n < ncomp; ++n)

@@ -6,8 +6,10 @@
  * a lambda-per-point `reconRow` over out-of-line `weno5Face`/`plmFace`
  * writing full-block left/right arrays, a per-face `hllFlux` that
  * gathers every component of a face, the upwind `upwindRow`, and the
- * component-inner flux divergence and RK2 weighted sum. The pencil
- * kernels must reproduce it bit for bit — signed zeros included — for
+ * unfused stage: a component-inner flux divergence into a full dudt
+ * array, the reaction source added cell by cell, then the RK2
+ * weighted sum. The pencil kernels and the fused row-by-row stage
+ * update must reproduce it bit for bit — signed zeros included — for
  * every package, dimensionality and reconstruction, through the
  * per-block launch, serial and threaded.
  */
@@ -199,6 +201,22 @@ divergence(const RealArray4* const flux[3], RealArray4& dudt,
                 }
 }
 
+/** The reaction source, cell by cell, on a full dudt array. */
+void
+reactionSource(const ReactionPackage& package, const RealArray4& cons,
+               RealArray4& dudt, const BlockShape& s)
+{
+    for (int k = s.ks(); k <= s.ke(); ++k)
+        for (int j = s.js(); j <= s.je(); ++j)
+            for (int i = s.is(); i <= s.ie(); ++i) {
+                const double a = cons(0, k, j, i);
+                const double transfer =
+                    package.config().rate * (a - package.equilibrium(a));
+                dudt(0, k, j, i) -= transfer;
+                dudt(1, k, j, i) += transfer;
+            }
+}
+
 void
 weightedSum(RealArray4& cons, const RealArray4& cons0,
             const RealArray4& dudt, double wa, double wb, double wc,
@@ -374,6 +392,21 @@ firstMismatch(const RealArray4& got, const RealArray4& want)
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+/** NaN-filled face fluxes for one block (empty in inactive dims). */
+FaceFluxes
+nanFluxes(const BlockShape& s, int ncomp)
+{
+    FaceFluxes flux;
+    flux[0] = RealArray4(ncomp, s.nk(), s.nj(), s.ni() + 1);
+    if (s.ndim >= 2)
+        flux[1] = RealArray4(ncomp, s.nk(), s.nj() + 1, s.ni());
+    if (s.ndim >= 3)
+        flux[2] = RealArray4(ncomp, s.nk() + 1, s.nj(), s.ni());
+    for (RealArray4& f : flux)
+        f.fill(kNaN);
+    return flux;
+}
+
 /** Upwind velocity triples: both signs, and signed zeros (-0.0 >= 0
  *  picks the left state like +0.0, with a -0.0 product). */
 constexpr double kVelocities[2][3] = {{0.7, -0.3, -0.0},
@@ -463,13 +496,13 @@ TEST(InteriorKernelOracle, FluxesMatchScalarBitwise)
                         // Oracle into NaN-filled copies, kernels
                         // into NaN-filled arrays: whole-array
                         // equality also rules out stray writes.
+                        const int ncomp = km.registry.ncompConserved();
+                        std::vector<FaceFluxes> got;
                         std::vector<std::vector<RealArray4>> want;
                         for (MeshBlock* block : km.mesh.ownedBlocks()) {
-                            want.emplace_back();
-                            for (int d = 0; d < 3; ++d) {
-                                block->flux(d).fill(kNaN);
-                                want.back().push_back(block->flux(d));
-                            }
+                            got.push_back(nanFluxes(s, ncomp));
+                            want.emplace_back(got.back().begin(),
+                                              got.back().end());
                             for (int d = 0; d < ndim; ++d)
                                 oracle::fluxes(
                                     block->cons(), want.back()[d], s,
@@ -480,23 +513,23 @@ TEST(InteriorKernelOracle, FluxesMatchScalarBitwise)
                                     kVelocities[v][d]);
                         }
 
-                        for (MeshBlock* block : km.mesh.ownedBlocks())
-                            package->calculateFluxesBlock(km.mesh, *block);
-
                         std::size_t b = 0;
-                        for (MeshBlock* block : km.mesh.ownedBlocks()) {
+                        for (MeshBlock* block : km.mesh.ownedBlocks())
+                            package->calculateFluxesBlock(km.mesh, *block,
+                                                          got[b++]);
+
+                        for (b = 0; b < got.size(); ++b) {
                             for (int d = 0; d < 3; ++d)
-                                ASSERT_EQ(firstMismatch(block->flux(d),
+                                ASSERT_EQ(firstMismatch(got[b][d],
                                                         want[b][d]),
                                           "")
                                     << what << ", block " << b
                                     << ", flux(" << d << ")";
-                            ++b;
                         }
                     }
 }
 
-TEST(InteriorKernelOracle, DivergenceAndUpdateMatchScalarBitwise)
+TEST(InteriorKernelOracle, FusedStageUpdateMatchesScalarBitwise)
 {
     const double unit_vel[3] = {1.0, 1.0, 1.0};
     for (Pkg pkg : {Pkg::Burgers, Pkg::Advection, Pkg::Reaction})
@@ -508,6 +541,8 @@ TEST(InteriorKernelOracle, DivergenceAndUpdateMatchScalarBitwise)
                     std::to_string(threads) + " threads";
                 const auto package =
                     makePackage(pkg, ReconMethod::Weno5, unit_vel);
+                const RowSource* source = package->rowSource();
+                ASSERT_EQ(source != nullptr, pkg == Pkg::Reaction) << what;
                 KernelMesh km(*package, ndim, threads);
                 std::mt19937_64 rng(ndim * 977 +
                                     static_cast<int>(pkg) * 3 +
@@ -515,43 +550,18 @@ TEST(InteriorKernelOracle, DivergenceAndUpdateMatchScalarBitwise)
                 const BlockShape s = km.mesh.config().blockShape();
                 const int ncomp = km.registry.ncompConserved();
 
-                // Divergence of random fluxes.
-                std::vector<RealArray4> want;
-                for (MeshBlock* block : km.mesh.ownedBlocks()) {
-                    for (int d = 0; d < 3; ++d)
-                        fillRandom(block->flux(d), rng);
-                    block->dudt().fill(kNaN);
-                    want.push_back(block->dudt());
-                    const BlockGeometry& g = block->geom();
-                    const double inv_dx[3] = {1.0 / g.dx1, 1.0 / g.dx2,
-                                              1.0 / g.dx3};
-                    const RealArray4* flux[3] = {
-                        &block->flux(0), &block->flux(1),
-                        &block->flux(2)};
-                    oracle::divergence(flux, want.back(), inv_dx, s,
-                                       ncomp);
-                }
-                for (MeshBlock* block : km.mesh.ownedBlocks())
-                    fvFluxDivergenceBlock(km.mesh, *block);
-                std::size_t b = 0;
-                for (MeshBlock* block : km.mesh.ownedBlocks())
-                    ASSERT_EQ(firstMismatch(block->dudt(), want[b++]),
-                              "")
-                        << what << ", dudt of block " << b - 1;
-
-                // Save, then both RK2 stages.
+                // Save first.
                 std::vector<RealArray4> want_cons, want_cons0;
                 for (MeshBlock* block : km.mesh.ownedBlocks()) {
                     fillRandom(block->cons(), rng);
                     fillRandom(block->cons0(), rng);
-                    fillRandom(block->dudt(), rng);
                     want_cons.push_back(block->cons());
                     want_cons0.push_back(block->cons0());
                     oracle::saveState(want_cons.back(),
                                       want_cons0.back(), s, ncomp);
                 }
                 saveState(km.mesh);
-                b = 0;
+                std::size_t b = 0;
                 for (MeshBlock* block : km.mesh.ownedBlocks()) {
                     ASSERT_EQ(firstMismatch(block->cons0(),
                                             want_cons0[b]),
@@ -563,21 +573,44 @@ TEST(InteriorKernelOracle, DivergenceAndUpdateMatchScalarBitwise)
                     want_cons[b] = block->cons();
                     ++b;
                 }
+
+                // Both RK2 stages over fresh random fluxes: the oracle
+                // divergence into a full dudt array, the source on the
+                // pre-update state, then the weighted sum.
                 const double dt = 0.37;
                 for (int stage : {1, 2}) {
                     const double wa = stage == 1 ? 1.0 : 0.5;
                     const double wb = stage == 1 ? 0.0 : 0.5;
                     const double wc = stage == 1 ? 1.0 : 0.5;
+                    std::vector<FaceFluxes> fluxes;
                     b = 0;
                     for (MeshBlock* block : km.mesh.ownedBlocks()) {
-                        oracle::weightedSum(want_cons[b],
-                                            block->cons0(),
-                                            block->dudt(), wa, wb, wc,
-                                            dt, s, ncomp);
+                        fluxes.push_back(nanFluxes(s, ncomp));
+                        for (int d = 0; d < ndim; ++d)
+                            fillRandom(fluxes.back()[d], rng);
+                        const BlockGeometry& g = block->geom();
+                        const double inv_dx[3] = {1.0 / g.dx1,
+                                                  1.0 / g.dx2,
+                                                  1.0 / g.dx3};
+                        const RealArray4* flux[3] = {&fluxes.back()[0],
+                                                     &fluxes.back()[1],
+                                                     &fluxes.back()[2]};
+                        RealArray4 dudt(ncomp, s.nk(), s.nj(), s.ni());
+                        oracle::divergence(flux, dudt, inv_dx, s, ncomp);
+                        if (pkg == Pkg::Reaction)
+                            oracle::reactionSource(
+                                static_cast<const ReactionPackage&>(
+                                    *package),
+                                want_cons[b], dudt, s);
+                        oracle::weightedSum(want_cons[b], block->cons0(),
+                                            dudt, wa, wb, wc, dt, s,
+                                            ncomp);
                         ++b;
                     }
+                    b = 0;
                     for (MeshBlock* block : km.mesh.ownedBlocks())
-                        stageUpdateBlock(km.mesh, *block, stage, dt);
+                        stageUpdateBlock(km.mesh, *block, fluxes[b++],
+                                         stage, dt, source);
                     b = 0;
                     for (MeshBlock* block : km.mesh.ownedBlocks()) {
                         ASSERT_EQ(firstMismatch(block->cons(),

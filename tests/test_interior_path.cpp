@@ -5,9 +5,12 @@
  * workers) is bitwise identical to the serial run across the
  * restructure, and the §VIII-B shared-scratch memory layout
  * (`optimizeAuxMemory`, a model term only) leaves results bitwise
- * unchanged. On a rank-sharded 3-level mesh, the stage graph orders
- * every update after every direct boundary row that reads a live
- * interior, and every divergence after every direct flux row.
+ * unchanged. On a rank-sharded 3-level mesh, where both task shapes
+ * occur (flux-correction participants' flux -> correction -> update
+ * chain, and every other block's one fluxes-and-update task), the
+ * stage graph orders every update after every direct boundary row that
+ * reads a live interior, and every participant's update (which holds
+ * its divergence) after every direct flux row.
  */
 #include <gtest/gtest.h>
 
@@ -160,11 +163,12 @@ tasksNamed(const TaskList& tl, const std::string& prefix)
 TEST(InteriorPath, StageGraphOrdersUpdatesAfterDirectRows)
 {
     // The direct rows' ordering contract (boundary_plan.hpp): a direct
-    // bounds row reads its sender's live interior, so no
-    // WeightedSumData may start before every such row has run; a
-    // direct flux row overwrites coarse faces, so no FluxDivergence
-    // may start before every such row has run. Checked on both ranks
-    // of a 2-rank team that reached three levels.
+    // bounds row reads its sender's live interior, so no update
+    // (WeightedSumData or FluxesAndUpdate) may start before every such
+    // row has run; a direct flux row overwrites coarse faces, so no
+    // participant's WeightedSumData (the fused divergence) may start
+    // before every such row has run. Checked on both ranks of a 2-rank
+    // team that reached three levels.
     using namespace shard_test;
     auto package = makePackage("advection");
     VariableRegistry registry = package->buildRegistry();
@@ -196,26 +200,54 @@ TEST(InteriorPath, StageGraphOrdersUpdatesAfterDirectRows)
             tasksNamed(tl, "SetBounds:plan:bounds:local:part");
         const auto flux_local =
             tasksNamed(tl, "FluxCorrApply:plan:flux:local:part");
+        const auto flux_send =
+            tasksNamed(tl, "FluxCorrSend:plan:flux:begin");
         const auto updates = tasksNamed(tl, "WeightedSumData:");
-        const auto divergences = tasksNamed(tl, "FluxDivergence:");
+        const auto flux_tasks = tasksNamed(tl, "CalculateFluxes:");
+        const auto one_task = tasksNamed(tl, "FluxesAndUpdate:");
         ASSERT_EQ(bounds_local.size(),
                   static_cast<std::size_t>(GhostExchange::kFusedPartitions))
             << where;
         ASSERT_EQ(flux_local.size(),
                   static_cast<std::size_t>(GhostExchange::kFusedPartitions))
             << where;
-        ASSERT_FALSE(updates.empty()) << where;
-        ASSERT_EQ(divergences.size(), updates.size()) << where;
-        for (TaskId update : updates)
+        ASSERT_EQ(flux_send.size(), 1u) << where;
+        // Both shapes occur: participants take the chain, the rest one
+        // task, and every owned block takes exactly one of them.
+        std::size_t participants = 0;
+        for (const MeshBlock* block : team.mesh(rank).ownedBlocks())
+            participants += block->fluxCorrection() ? 1 : 0;
+        ASSERT_GT(participants, 0u) << where;
+        ASSERT_EQ(updates.size(), participants) << where;
+        ASSERT_EQ(flux_tasks.size(), participants) << where;
+        ASSERT_FALSE(one_task.empty()) << where;
+        EXPECT_EQ(updates.size() + one_task.size(),
+                  team.mesh(rank).ownedBlocks().size())
+            << where;
+
+        std::vector<TaskId> all_updates = updates;
+        all_updates.insert(all_updates.end(), one_task.begin(),
+                           one_task.end());
+        for (TaskId update : all_updates)
             for (TaskId row : bounds_local)
                 EXPECT_TRUE(ancestor[update][row])
                     << where << ": " << tl.name(update)
                     << " does not wait for " << tl.name(row);
-        for (TaskId div : divergences)
+        for (TaskId update : updates)
             for (TaskId row : flux_local)
-                EXPECT_TRUE(ancestor[div][row])
-                    << where << ": " << tl.name(div)
+                EXPECT_TRUE(ancestor[update][row])
+                    << where << ": " << tl.name(update)
                     << " does not wait for " << tl.name(row);
+        // The correction waits on participants' flux tasks only: a
+        // one-task block's fluxes are neither sent nor corrected.
+        for (TaskId flux : flux_tasks)
+            EXPECT_TRUE(ancestor[flux_send[0]][flux])
+                << where << ": flux send does not wait for "
+                << tl.name(flux);
+        for (TaskId block_task : one_task)
+            EXPECT_FALSE(ancestor[flux_send[0]][block_task])
+                << where << ": flux send waits for "
+                << tl.name(block_task);
 
         // The bounds direct rows overlap the cross-rank send: they wait
         // for the cycle start only.
@@ -232,6 +264,37 @@ TEST(InteriorPath, StageGraphOrdersUpdatesAfterDirectRows)
         ASSERT_EQ(send_begin.size(), 1u) << where;
         ASSERT_EQ(set_end.size(), 1u) << where;
         EXPECT_TRUE(ancestor[set_end[0]][send_begin[0]]) << where;
+    }
+}
+
+TEST(InteriorPath, SingleLevelBlocksRunOneTaskEach)
+{
+    // A single-level mesh has no flux correction: every block runs one
+    // FluxesAndUpdate task with its fluxes in the worker's scratch, and
+    // no block stores flux arrays.
+    using namespace shard_test;
+    auto package = makePackage("burgers");
+    VariableRegistry registry = package->buildRegistry();
+    RankTeam team(shardMeshConfig(2, 2, 1), registry, *package,
+                  shardDriverConfig(), [](int) {
+                      return std::make_unique<SphericalWaveTagger>(
+                          shardWaveParams());
+                  });
+    team.run();
+    for (int rank = 0; rank < 2; ++rank) {
+        const std::string where = "rank " + std::to_string(rank);
+        const TaskList tl = team.driver(rank).buildStageGraph(1, false);
+        const auto& owned = team.mesh(rank).ownedBlocks();
+        EXPECT_EQ(tasksNamed(tl, "FluxesAndUpdate:").size(), owned.size())
+            << where;
+        EXPECT_TRUE(tasksNamed(tl, "CalculateFluxes:").empty()) << where;
+        EXPECT_TRUE(tasksNamed(tl, "WeightedSumData:").empty()) << where;
+        EXPECT_TRUE(tasksNamed(tl, "FluxCorr").empty()) << where;
+        for (const MeshBlock* block : owned) {
+            EXPECT_FALSE(block->fluxCorrection()) << where;
+            for (int d = 0; d < 3; ++d)
+                EXPECT_TRUE(block->flux(d).empty()) << where;
+        }
     }
 }
 

@@ -2,8 +2,10 @@
  * @file test_memory_pool.cpp
  * Block memory pool: Array4 storage adoption without redundant
  * clearing, steady-state refine/derefine churn running entirely on
- * recycled buffers, no aliasing between live blocks, and footprint /
- * state parity with the allocate-and-zero path.
+ * recycled buffers, no aliasing between live blocks, footprint /
+ * state parity with the allocate-and-zero path, live pool bytes pinned
+ * to each rank replica's own shard, and the modeled (counting-mode)
+ * footprint pinned to fixed totals.
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "exec/memory_tracker.hpp"
 #include "mesh/block_memory_pool.hpp"
 #include "mesh/mesh.hpp"
+#include "shard_harness.hpp"
 #include "util/array4.hpp"
 
 namespace vibe {
@@ -203,28 +206,132 @@ TEST(BlockMemoryPool, LiveBlocksNeverAliasBuffers)
         EXPECT_TRUE(seen.insert(a.data()).second)
             << "two live blocks share one backing store";
     };
+    std::size_t participants = 0;
     for (const auto& block : mesh.blocks()) {
         check(block->cons());
         check(block->cons0());
-        check(block->dudt());
         check(block->derived());
-        for (int d = 0; d < 3; ++d)
+        for (int d = 0; d < 3; ++d) {
+            // Only flux-correction participants store fluxes.
+            EXPECT_EQ(block->flux(d).empty(), !block->fluxCorrection())
+                << block->loc().str() << " flux(" << d << ")";
             check(block->flux(d));
+        }
+        participants += block->fluxCorrection() ? 1 : 0;
     }
-    // Every block contributes cons/cons0/dudt/derived + 3 flux arrays
-    // in 3-D.
-    EXPECT_EQ(arrays, mesh.numBlocks() * 7u);
+    // The refined corner makes some, not all, blocks participants.
+    EXPECT_GT(participants, 0u);
+    EXPECT_LT(participants, mesh.numBlocks());
+    // Every block contributes cons/cons0/derived; a participant adds
+    // 3 flux arrays in 3-D. No block holds a dudt array.
+    EXPECT_EQ(arrays, mesh.numBlocks() * 3u + participants * 3u);
     // The pool's live bytes (fresh bytes drawn minus bytes idle in the
     // free list) are exactly those arrays: 8^3 blocks with 4 ghosts
-    // are 16^3 cells; cons/cons0/dudt hold 7 components, derived 1,
-    // and each flux array 7 components over 17 x 16 x 16 faces.
-    // Storage drawn from the pool but reachable through no accessor
-    // (dead scratch) makes the left side larger.
+    // are 16^3 cells; cons/cons0 hold 7 components, derived 1, and
+    // each flux array 7 components over 17 x 16 x 16 faces. Storage
+    // drawn from the pool but reachable through no accessor (dead
+    // scratch) makes the left side larger.
     const std::size_t cells = 16u * 16u * 16u * sizeof(double);
     const std::size_t faces = 17u * 16u * 16u * sizeof(double);
     EXPECT_EQ(bits.tracker.poolMissBytes() -
                   mesh.memoryPool()->idleBytes(),
-              mesh.numBlocks() * (3 * 7 * cells + cells + 3 * 7 * faces));
+              mesh.numBlocks() * (2 * 7 * cells + cells) +
+                  participants * 3 * 7 * faces);
+}
+
+TEST(BlockMemoryPool, FluxArraysFollowTheFluxCorrectionRole)
+{
+    // Refining the corner makes the blocks around the level jump
+    // flux-correction participants, which draw flux arrays from the
+    // pool; derefining ends the role everywhere, and the arrays go back
+    // to the pool.
+    PoolMeshBits bits;
+    ExecContext ctx(ExecMode::Execute, &bits.profiler, &bits.tracker);
+    Mesh mesh(churnConfig(true), bits.registry, ctx);
+    const std::size_t cells = 16u * 16u * 16u * sizeof(double);
+    const std::size_t faces = 17u * 16u * 16u * sizeof(double);
+    const auto live = [&] {
+        return bits.tracker.poolMissBytes() -
+               mesh.memoryPool()->idleBytes();
+    };
+    const auto participants = [&] {
+        std::size_t count = 0;
+        for (const auto& block : mesh.blocks()) {
+            for (int d = 0; d < 3; ++d)
+                EXPECT_EQ(block->flux(d).empty(), !block->fluxCorrection())
+                    << block->loc().str() << " flux(" << d << ")";
+            count += block->fluxCorrection() ? 1 : 0;
+        }
+        return count;
+    };
+    for (int round = 0; round < 2; ++round) {
+        RefinementFlagMap refine;
+        refine[{0, 0, 0, 0}] = RefinementFlag::Refine;
+        mesh.applyTreeUpdate(mesh.updateTree(refine), 0);
+        const std::size_t joined = participants();
+        EXPECT_GT(joined, 0u);
+        EXPECT_EQ(live(), mesh.numBlocks() * (2 * 7 * cells + cells) +
+                              joined * 3 * 7 * faces);
+
+        RefinementFlagMap deref;
+        for (int idx = 0; idx < 8; ++idx)
+            deref[LogicalLocation{0, 0, 0, 0}.child(
+                idx & 1, (idx >> 1) & 1, (idx >> 2) & 1)] =
+                RefinementFlag::Derefine;
+        mesh.applyTreeUpdate(mesh.updateTree(deref), 0);
+        EXPECT_EQ(participants(), 0u);
+        EXPECT_EQ(live(), mesh.numBlocks() * (2 * 7 * cells + cells));
+    }
+}
+
+TEST(BlockMemoryPool, ShardedReplicasPinLiveBytesToTheirShard)
+{
+    // The same pin per replica of a rank team (VIBE_NUM_RANKS, default
+    // 4) after remeshes and migrations: each replica's live pool bytes
+    // are exactly cons + cons0 + derived per owned block plus 3 flux
+    // arrays per owned flux-correction participant, so flux roles
+    // gained or lost in a remesh, and blocks that left, returned their
+    // storage.
+    using namespace shard_test;
+    const int ranks = envNumRanks(4);
+    auto package = makePackage("burgers");
+    VariableRegistry registry = package->buildRegistry();
+    RankTeam team(shardMeshConfig(ranks, envNumThreads(1)), registry,
+                  *package, shardDriverConfig(), [](int) {
+                      return std::make_unique<SphericalWaveTagger>(
+                          shardWaveParams());
+                  });
+    team.run();
+
+    const BlockShape s = team.mesh(0).config().blockShape();
+    const std::size_t ncons =
+        static_cast<std::size_t>(registry.ncompConserved());
+    const std::size_t cells =
+        static_cast<std::size_t>(s.totalCells()) * sizeof(double);
+    const std::size_t faces = static_cast<std::size_t>(s.ni() + 1) *
+                              s.nj() * s.nk() * sizeof(double);
+    const std::size_t state =
+        (2 * ncons + static_cast<std::size_t>(registry.ncompDerived())) *
+        cells;
+    std::size_t all_participants = 0;
+    for (int r = 0; r < ranks; ++r) {
+        const Mesh& mesh = team.mesh(r);
+        std::size_t participants = 0;
+        for (const MeshBlock* block : mesh.ownedBlocks()) {
+            for (int d = 0; d < 3; ++d)
+                EXPECT_EQ(block->flux(d).empty(), !block->fluxCorrection())
+                    << block->loc().str() << " flux(" << d << ")";
+            participants += block->fluxCorrection() ? 1 : 0;
+        }
+        all_participants += participants;
+        EXPECT_EQ(team.tracker(r).poolMissBytes() -
+                      mesh.memoryPool()->idleBytes(),
+                  mesh.ownedBlocks().size() * state +
+                      participants * 3 * ncons * faces)
+            << "rank " << r;
+    }
+    // The run ends refined, so the flux term is exercised.
+    EXPECT_GT(all_participants, 0u);
 }
 
 TEST(BlockMemoryPool, FootprintAndAllocationCallsMatchUnpooled)
@@ -249,6 +356,50 @@ TEST(BlockMemoryPool, FootprintAndAllocationCallsMatchUnpooled)
               plain_bits.tracker.allocationCalls());
     EXPECT_EQ(pooled_bits.tracker.labelBytes("mesh/cons"),
               plain_bits.tracker.labelBytes("mesh/cons"));
+}
+
+TEST(MemoryTracker, CountingModeTotalsArePinned)
+{
+    // The Fig. 10 / §VIII-B footprint is the tracker's model terms:
+    // every block registers cons, cons0, dudt, derived, flux and recon
+    // bytes whether or not storage backs them. Pin the totals of one
+    // fixed counting-mode run (3 levels, remeshing every cycle) so a
+    // storage change can never move a figure.
+    PoolMeshBits bits;
+    ExecContext ctx(ExecMode::Count, &bits.profiler, &bits.tracker);
+    MeshConfig config;
+    config.nx1 = config.nx2 = config.nx3 = 32;
+    config.blockNx1 = config.blockNx2 = config.blockNx3 = 8;
+    config.amrLevels = 3;
+    Mesh mesh(config, bits.registry, ctx);
+    RankWorld world(2);
+    BurgersConfig burgers;
+    burgers.numScalars = 4;
+    BurgersPackage package(burgers);
+    SphericalWaveTagger::Params wave;
+    wave.cx = wave.cy = wave.cz = 0.28;
+    wave.rMin = 0.08;
+    wave.rMax = 0.35;
+    wave.speed = 40.0;
+    SphericalWaveTagger tagger(wave);
+    DriverConfig driver_config;
+    driver_config.ncycles = 4;
+    driver_config.derefineGap = 2;
+    EvolutionDriver driver(mesh, package, world, tagger, driver_config);
+    driver.initialize();
+    driver.run();
+
+    const MemoryTracker& t = bits.tracker;
+    EXPECT_EQ(mesh.numBlocks(), 1520u);
+    EXPECT_EQ(t.currentBytes(), 4298997760u);
+    EXPECT_EQ(t.peakBytes(), 4553543680u);
+    EXPECT_EQ(t.allocationCalls(), 14328u);
+    EXPECT_EQ(t.labelBytes("mesh/cons"), 348651520u);
+    EXPECT_EQ(t.labelBytes("mesh/cons0"), 348651520u);
+    EXPECT_EQ(t.labelBytes("mesh/dudt"), 348651520u);
+    EXPECT_EQ(t.labelBytes("mesh/derived"), 49807360u);
+    EXPECT_EQ(t.labelBytes("mesh/flux"), 1111326720u);
+    EXPECT_EQ(t.labelBytes("mesh/recon"), 2091909120u);
 }
 
 TEST(BlockMemoryPool, CountingModeAllocatesNoPool)

@@ -146,20 +146,26 @@ TEST(MeshBlock, RealModeAllocatesArrays)
     EXPECT_TRUE(block.hasData());
     EXPECT_EQ(block.cons().nvar(), 11);
     EXPECT_EQ(block.cons().ni(), 16); // 8 + 2*4 ghosts
-    EXPECT_EQ(block.flux(0).ni(), 17);
-    EXPECT_EQ(block.flux(2).nk(), 17);
+    // A single-level mesh has no flux correction, so no block stores
+    // fluxes: they live in worker scratch for one stage task.
+    EXPECT_FALSE(block.fluxCorrection());
+    for (int d = 0; d < 3; ++d)
+        EXPECT_TRUE(block.flux(d).empty());
     EXPECT_GT(bits.tracker.currentBytes(), 0u);
-    // No reconstruction storage exists: the live pooled bytes are
-    // exactly cons + cons0 + dudt + derived + flux, while "mesh/recon"
-    // stays registered as a model term.
+    // No reconstruction, dudt or flux storage exists: the live pooled
+    // bytes are exactly cons + cons0 + derived, while "mesh/recon",
+    // "mesh/dudt" and "mesh/flux" stay registered as model terms.
     ASSERT_NE(mesh.memoryPool(), nullptr);
     const std::size_t cells = 16u * 16u * 16u * sizeof(double);
-    const std::size_t faces = 17u * 16u * 16u * sizeof(double);
-    // cons/cons0/dudt (11 components) + derived (1) + 3 flux arrays.
+    // cons/cons0 (11 components) + derived (1).
     EXPECT_EQ(bits.tracker.poolMissBytes() -
                   mesh.memoryPool()->idleBytes(),
-              mesh.numBlocks() * (3 * 11 * cells + cells + 3 * 11 * faces));
+              mesh.numBlocks() * (2 * 11 * cells + cells));
     EXPECT_GT(bits.tracker.labelBytes("mesh/recon"), 0u);
+    EXPECT_EQ(bits.tracker.labelBytes("mesh/dudt"),
+              mesh.numBlocks() * 11 * cells);
+    EXPECT_EQ(bits.tracker.labelBytes("mesh/flux"),
+              mesh.numBlocks() * 3 * 11 * 17u * 16u * 16u * sizeof(double));
 }
 
 TEST(MeshBlock, VirtualModeAccountsSameBytes)

@@ -6,8 +6,10 @@
  * physics packages, through mid-run remeshes and real load-balance
  * migrations. Also covers the RankWorld rendezvous collectives, the
  * Shadow-block ownership invariant (exactly one replica holds a
- * block's storage, and it is the owner), and migration being
- * numerically invisible (lbEvery = 0 vs lbEvery = 1 agree).
+ * block's storage, and it is the owner), migration being
+ * numerically invisible (lbEvery = 0 vs lbEvery = 1 agree), and each
+ * replica's footprint staying within its own shard (blocks are born on
+ * their owners, so startup never materializes a peer's blocks).
  */
 #include <gtest/gtest.h>
 
@@ -130,8 +132,9 @@ INSTANTIATE_TEST_SUITE_P(Packages, RankShardEquivalence,
 
 TEST(RankShard, MigrationIsNumericallyInvisible)
 {
-    // lbEvery = 0 never load balances: rank 0 keeps every block, no
-    // storage ever moves. lbEvery = 1 migrates every imbalance. Both
+    // lbEvery = 0 never load balances after initialization: every
+    // block stays where the startup balance put it, no storage moves
+    // mid-run. lbEvery = 1 migrates every imbalance. Both
     // must match the classic run bitwise — migration only relocates
     // storage, never perturbs it.
     for (const char* package : {"burgers", "advection"}) {
@@ -160,6 +163,84 @@ TEST(RankShard, MigrationIsNumericallyInvisible)
                 0)
                 << package << " block " << pinned.locs[blk];
     }
+}
+
+TEST(RankShard, ReplicasHoldOnlyTheirShard)
+{
+    // A 4-rank team on a single-level mesh (64 blocks): no replica
+    // ever materializes a block it does not own, the initial load
+    // balance moves nothing, and each replica's live pool bytes stay
+    // within its owned blocks x per-block bytes.
+    constexpr int kRanks = 4;
+    auto package = makePackage("burgers");
+    VariableRegistry registry = package->buildRegistry();
+    MeshConfig config = shardMeshConfig(kRanks, envNumThreads(1), 1);
+    config.nx1 = config.nx2 = config.nx3 = 32;
+    const BlockShape s = config.blockShape();
+    const std::size_t cell_bytes = static_cast<std::size_t>(
+                                       s.totalCells()) *
+                                   sizeof(double);
+    // cons + cons0 + derived: no dudt, and no fluxes off flux
+    // correction.
+    const std::size_t block_bytes =
+        (2 * static_cast<std::size_t>(registry.ncompConserved()) +
+         static_cast<std::size_t>(registry.ncompDerived())) *
+        cell_bytes;
+
+    // Born on the owner: a replica materializes exactly the shard the
+    // uniform-cost partition gives it, at construction.
+    std::vector<double> costs(64, static_cast<double>(s.interiorCells()));
+    const std::vector<int> owner = zPrefixPartition(costs, kRanks);
+    for (int r = 0; r < kRanks; ++r) {
+        KernelProfiler profiler;
+        MemoryTracker tracker;
+        ExecContext ctx(ExecMode::Execute, &profiler, &tracker);
+        Mesh mesh(config, registry, ctx, r);
+        ASSERT_EQ(mesh.numBlocks(), owner.size());
+        for (const auto& block : mesh.blocks()) {
+            EXPECT_EQ(block->rank(), owner[block->gid()]);
+            EXPECT_EQ(block->hasData(), block->rank() == r)
+                << block->loc().str() << " on replica " << r;
+        }
+        EXPECT_EQ(mesh.ownedBlocks().size(), 64u / kRanks);
+        // Nothing beyond the shard was ever registered or drawn.
+        EXPECT_EQ(tracker.peakBytes(),
+                  mesh.ownedBlocks().size() * mesh.block(0).dataBytes());
+        EXPECT_EQ(tracker.poolMissBytes(),
+                  mesh.ownedBlocks().size() * block_bytes);
+    }
+
+    // Uniform costs: measured ones jitter, and a balance that moves a
+    // block mid-run would (rightly) draw from the arrival's pool.
+    DriverConfig driver_config = shardDriverConfig();
+    driver_config.lbCost = LbCostMode::Uniform;
+    RankTeam team(config, registry, *package, driver_config, [](int) {
+        return std::make_unique<SphericalWaveTagger>(shardWaveParams());
+    });
+    team.run();
+    for (int r = 0; r < kRanks; ++r) {
+        const std::string where = "rank " + std::to_string(r);
+        EXPECT_EQ(team.driver(r).initialLoadBalance().movedBlocks, 0)
+            << where;
+        const Mesh& mesh = team.mesh(r);
+        const std::size_t owned = mesh.ownedBlocks().size();
+        EXPECT_EQ(owned, 64u / kRanks) << where;
+        for (const auto& block : mesh.blocks())
+            EXPECT_EQ(block->hasData(), block->rank() == r)
+                << block->loc().str() << " on " << where;
+        const MemoryTracker& tracker = team.tracker(r);
+        // Live pool bytes (drawn minus idle) within the shard, and so
+        // is everything ever drawn: the bound held at every point of
+        // the run, not just at its end.
+        EXPECT_LE(tracker.poolMissBytes() - mesh.memoryPool()->idleBytes(),
+                  owned * block_bytes)
+            << where;
+        EXPECT_LE(tracker.poolMissBytes(), owned * block_bytes) << where;
+        EXPECT_LE(tracker.peakBytes(), owned * mesh.block(0).dataBytes())
+            << where;
+    }
+    for (const CycleStats& stats : team.aggregatedHistory())
+        EXPECT_EQ(stats.movedBlocks, 0) << "cycle " << stats.cycle;
 }
 
 TEST(RankShard, EnvRankCountMatchesClassic)

@@ -2,5 +2,5 @@
 // path, not a cached raw pointer. Must be clean.
 void advance(MeshBlock& block)
 {
-    block.cons()(0, 0, 0, 0) += block.dudt()(0, 0, 0, 0);
+    block.cons()(0, 0, 0, 0) += block.cons0()(0, 0, 0, 0);
 }
